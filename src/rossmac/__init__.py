@@ -37,7 +37,6 @@ from rossmac.trajectory import (
     SaturatingFeedback,
     Trajectory,
     audit_viability,
-    feedback_control,
     simulate,
 )
 
@@ -48,7 +47,7 @@ __all__ = [
     "m_bar", "boundary_curve", "build_kernel", "kernel_membership",
     "distance_to_frontier", "regime_diagram",
     "ConstantControl", "PiecewiseConstantControl", "SaturatingFeedback",
-    "Trajectory", "simulate", "feedback_control", "audit_viability",
+    "Trajectory", "simulate", "audit_viability",
     "IncidenceSeries", "PrevalenceDataset", "FitResult",
     "incidence_to_prevalence", "objective", "fit",
 ]

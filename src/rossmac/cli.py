@@ -6,9 +6,11 @@ individual keys can be overridden on the command line with repeated
 `key=value` lines, diagnostics to stderr, and CSV/SVG artifacts to the
 output directory.
 
-Exit codes: 0 success, 2 invalid configuration, 3 boundary requested
-outside the medium regime, 4 feedback policy outside the medium regime,
-5 malformed incidence CSV, 1 any other per-cell or runtime failure.
+Exit codes: 0 success, 2 invalid configuration (a diagram grid with a
+cell outside the model's ranges included, in which case no CSV is
+written), 3 boundary requested outside the medium regime, 4 feedback
+policy outside the medium regime, 5 malformed incidence CSV, 1 any other
+runtime failure.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from rossmac.kernel import (
     classify_regime,
     m_bar,
     outside_proven_hypotheses,
+    regime_diagram,
     regime_thresholds,
 )
 from rossmac.model import EpiParams, ModelRates, State, derive_rates
@@ -277,27 +280,20 @@ def cmd_diagram(cfg: dict[str, str], args) -> int:
         H_grid = _parse_grid(cfg["H_grid"])
     except ValueError as exc:
         raise ConfigError(f"invalid grid specification: {exc}") from exc
+    try:
+        grid = regime_diagram(rates, u_grid, H_grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _out_dir(cfg, args.out)
     csv_path = out / "diagram.csv"
-    had_error = False
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "H", "regime"])
-        for H in H_grid:
-            for u in u_grid:
-                try:
-                    cell = ModelRates(
-                        A_m=rates.A_m, A_h=rates.A_h, gamma=rates.gamma,
-                        u_min=min(rates.u_min, u), u_max=u,
-                    )
-                    regime = classify_regime(cell, H).value
-                except ValueError as exc:
-                    print(f"cell (u={u}, H={H}): {exc}", file=sys.stderr)
-                    regime = "error"
-                    had_error = True
-                writer.writerow([_fmt(u), _fmt(H), regime])
+        for H, row in zip(H_grid, grid):
+            for u, regime in zip(u_grid, row):
+                writer.writerow([_fmt(u), _fmt(H), regime.value])
     print(f"diagram_csv={csv_path}")
-    return 1 if had_error else 0
+    return 0
 
 
 def cmd_fit(cfg: dict[str, str], args) -> int:

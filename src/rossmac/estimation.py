@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import least_squares
 
-from rossmac.model import EpiParams
+from rossmac.model import EpiParams, ModelRates, g_h, g_m
 
 # Admissible box for theta = (alpha, p_h, p_m, xi, delta) and the default
 # starting point of the optimizer.
@@ -107,6 +107,14 @@ def _theta_array(theta) -> np.ndarray:
     return np.asarray(theta, dtype=float)
 
 
+def _reduced_rates(theta: np.ndarray, gamma: float) -> ModelRates:
+    """The rates A_m = alpha*p_m and A_h = alpha*p_h*xi of theta, with the
+    mosquito death rate fixed at delta.  Unlike EpiParams, ModelRates
+    accepts the optimizer's trial points with p_h or p_m above 1."""
+    alpha, p_h, p_m, xi, delta = theta
+    return ModelRates(A_m=alpha * p_m, A_h=alpha * p_h * xi, gamma=gamma, u_min=delta, u_max=delta)
+
+
 def simulate_h(
     theta,
     h0: float,
@@ -116,14 +124,11 @@ def simulate_h(
     atol: float = 1e-12,
 ) -> np.ndarray:
     """Human prevalence h(t_j; theta) with m(0) = 3*h0."""
-    alpha, p_h, p_m, xi, delta = _theta_array(theta)
+    rates = _reduced_rates(_theta_array(theta), gamma)
 
     def rhs(t, z):
         m, h = z
-        return [
-            alpha * p_m * h * (1.0 - m) - delta * m,
-            alpha * p_h * xi * m * (1.0 - h) - gamma * h,
-        ]
+        return [g_m(m, h, rates.u_max, rates), g_h(m, h, rates)]
 
     z0 = [MOSQUITO_INIT_FACTOR * h0, h0]
     sol = solve_ivp(rhs, (0.0, float(t_eval[-1]) if t_eval[-1] > 0 else 1.0), z0,
@@ -153,14 +158,12 @@ def objective(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> f
 def _sensitivity_system(theta: np.ndarray, h0: float, t_eval: np.ndarray, gamma: float):
     """Integrate the state jointly with forward sensitivities dz/dtheta."""
     alpha, p_h, p_m, xi, delta = theta
+    rates = _reduced_rates(theta, gamma)
 
     def rhs(t, w):
         m, h = w[0], w[1]
         S = w[2:].reshape(2, 5)
-        f = np.array([
-            alpha * p_m * h * (1.0 - m) - delta * m,
-            alpha * p_h * xi * m * (1.0 - h) - gamma * h,
-        ])
+        f = np.array([g_m(m, h, delta, rates), g_h(m, h, rates)])
         Jz = np.array([
             [-alpha * p_m * h - delta, alpha * p_m * (1.0 - m)],
             [alpha * p_h * xi * (1.0 - h), -alpha * p_h * xi * m - gamma],
@@ -260,11 +263,12 @@ def fit(
 def _make_result(theta: np.ndarray, obj: float, nfev: int, converged: bool, gamma: float) -> FitResult:
     alpha, p_h, p_m, xi, delta = theta
     params = EpiParams(alpha=alpha, p_h=p_h, p_m=p_m, xi=xi, delta=delta, gamma=gamma)
+    rates = _reduced_rates(theta, gamma)
     return FitResult(
         theta_hat=params,
         objective_value=obj,
-        A_m=alpha * p_m,
-        A_h=alpha * p_h * xi,
+        A_m=rates.A_m,
+        A_h=rates.A_h,
         delta=delta,
         iterations=nfev,
         converged=converged,
@@ -307,31 +311,35 @@ CALI_2013_ESTIMATE = EpiParams(
 )
 
 
-def read_incidence_csv(path, population: int) -> IncidenceSeries:
-    """Read a `day,new_cases` CSV into an incidence series."""
+def _read_day_csv(path, column: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a `day,<column>` CSV into integer days and float values."""
     days: list[int] = []
-    cases: list[float] = []
+    values: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise MalformedCSVError(path, 1, "empty file")
-        if [c.strip().lower() for c in header[:2]] != ["day", "new_cases"]:
-            raise MalformedCSVError(path, 1, "expected header 'day,new_cases'")
+        if [c.strip().lower() for c in header[:2]] != ["day", column]:
+            raise MalformedCSVError(path, 1, f"expected header 'day,{column}'")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
                 days.append(int(row[0]))
-                cases.append(float(row[1]))
+                values.append(float(row[1]))
             except (ValueError, IndexError) as exc:
                 raise MalformedCSVError(path, lineno, str(exc)) from exc
     if not days:
         raise MalformedCSVError(path, 2, "no data rows")
+    return np.array(days), np.array(values)
+
+
+def read_incidence_csv(path, population: int) -> IncidenceSeries:
+    """Read a `day,new_cases` CSV into an incidence series."""
+    days, cases = _read_day_csv(path, "new_cases")
     try:
-        return IncidenceSeries(
-            days=np.array(days), new_cases=np.array(cases), population=population
-        )
+        return IncidenceSeries(days=days, new_cases=cases, population=population)
     except ValueError as exc:
         raise MalformedCSVError(path, 2, str(exc)) from exc
 
@@ -345,23 +353,6 @@ def write_prevalence_csv(path, data: PrevalenceDataset) -> None:
 
 
 def read_prevalence_csv(path) -> PrevalenceDataset:
-    days: list[int] = []
-    h_hat: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MalformedCSVError(path, 1, "empty file")
-        if [c.strip().lower() for c in header[:2]] != ["day", "h_hat"]:
-            raise MalformedCSVError(path, 1, "expected header 'day,h_hat'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                days.append(int(row[0]))
-                h_hat.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise MalformedCSVError(path, lineno, str(exc)) from exc
-    if not days:
-        raise MalformedCSVError(path, 2, "no data rows")
-    return PrevalenceDataset(days=np.array(days), h_hat=np.array(h_hat))
+    """Read a `day,h_hat` CSV into a prevalence dataset."""
+    days, h_hat = _read_day_csv(path, "h_hat")
+    return PrevalenceDataset(days=days, h_hat=h_hat)

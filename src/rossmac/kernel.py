@@ -15,7 +15,6 @@ fumigation, which the test suite exploits as an independent check.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,11 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from rossmac.model import ModelRates, State, g_h, g_m
+
+
+# Points per block of frontier_distance: a block's (points x segments)
+# temporaries stay small whatever the number of points.
+_DISTANCE_BLOCK = 64
 
 
 class Regime(enum.Enum):
@@ -119,6 +123,9 @@ class KernelDescription:
     _interp: PchipInterpolator | None = field(
         default=None, repr=False, compare=False
     )
+    _segments: tuple[np.ndarray, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.H_bar < 1.0:
@@ -137,12 +144,52 @@ class KernelDescription:
         if np.any(fm < 0.0) or np.any(fm > 1.0) or np.any(fy < 0.0) or np.any(fy > 1.0):
             raise ValueError("frontier samples must lie in the unit square")
         object.__setattr__(self, "_interp", PchipInterpolator(fm, fy))
+        # Upper frontier polyline: the flat cap segment over [0, M_bar]
+        # joined with the chords of the sampled curve.
+        xs = np.concatenate(([0.0], fm))
+        ys = np.concatenate(([self.H_bar], fy))
+        dx, dy = np.diff(xs), np.diff(ys)
+        seg2 = dx * dx + dy * dy
+        object.__setattr__(
+            self, "_segments", (xs[:-1], ys[:-1], dx, dy, np.where(seg2 > 0.0, seg2, 1.0))
+        )
 
     def frontier_value(self, m) -> np.ndarray:
         """Interpolated frontier height Y(m) for m in [M_bar, M_inf]."""
         if self._interp is None:
             raise ValueError("frontier only defined for the medium regime")
         return self._interp(m)
+
+    def contains(self, m, h) -> np.ndarray:
+        """Whether points (m, h), scalars or arrays, lie in the closed kernel.
+
+        Points with m <= M_bar, including small negative drift, are held
+        to the cap alone; beyond M_inf nothing is inside.
+        """
+        m, h = np.asarray(m, dtype=float), np.asarray(h, dtype=float)
+        if self.regime is Regime.LOW:
+            return (m == 0.0) & (h == 0.0)
+        if self.regime is Regime.HIGH:
+            return h <= self.H_bar
+        y = self._interp(np.minimum(np.maximum(m, self.M_bar), self.M_inf))
+        return np.where(m <= self.M_bar, h <= self.H_bar, (m <= self.M_inf) & (h <= y))
+
+    def frontier_distance(self, m, h) -> np.ndarray:
+        """Euclidean distance from points (m, h), scalars or arrays, to the
+        upper frontier polyline, whether or not they lie in the kernel."""
+        if self._segments is None:
+            raise ValueError("distance to frontier is only defined for medium kernels")
+        ax, ay, dx, dy, seg2 = self._segments
+        m, h = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(h, dtype=float))
+        px, py = m.reshape(-1, 1), h.reshape(-1, 1)
+        out = np.empty(px.shape[0])
+        # Blocks of points bound the (points x segments) temporaries.
+        for i in range(0, out.size, _DISTANCE_BLOCK):
+            bx, by = px[i : i + _DISTANCE_BLOCK], py[i : i + _DISTANCE_BLOCK]
+            t = np.minimum(np.maximum(((bx - ax) * dx + (by - ay) * dy) / seg2, 0.0), 1.0)
+            cx, cy = ax + t * dx, ay + t * dy
+            out[i : i + _DISTANCE_BLOCK] = np.sqrt(np.min((bx - cx) ** 2 + (by - cy) ** 2, axis=1))
+        return out.reshape(m.shape)
 
 
 def boundary_curve(
@@ -211,7 +258,8 @@ def boundary_curve(
         y_end = float(sol.sol(1.0)[0])
 
     m_grid = np.arange(mb, m_inf, step)
-    if m_inf - m_grid[-1] < 0.25 * step:
+    # Trim a last grid point crowding M_inf, but never the start M_bar.
+    if m_grid.size > 1 and m_inf - m_grid[-1] < 0.25 * step:
         m_grid = m_grid[:-1]
     m_samples = np.append(m_grid, m_inf)
     y_samples = sol.sol(m_samples)[0]
@@ -247,34 +295,7 @@ def build_kernel(
 
 def kernel_membership(desc: KernelDescription, state: State) -> bool:
     """Whether a state belongs to the (closed) viability kernel."""
-    if desc.regime is Regime.LOW:
-        return state.m == 0.0 and state.h == 0.0
-    if desc.regime is Regime.HIGH:
-        return state.h <= desc.H_bar
-    if state.m <= desc.M_bar:
-        return state.h <= desc.H_bar
-    if state.m > desc.M_inf:
-        return False
-    return state.h <= float(desc.frontier_value(state.m))
-
-
-def _frontier_polyline(desc: KernelDescription) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices of the upper frontier: the flat cap segment joined with the
-    sampled curve."""
-    xs = np.concatenate(([0.0], desc.frontier_m))
-    ys = np.concatenate(([desc.H_bar], desc.frontier_y))
-    return xs, ys
-
-
-def _point_polyline_distance(xs: np.ndarray, ys: np.ndarray, px: float, py: float) -> float:
-    ax, ay = xs[:-1], ys[:-1]
-    bx, by = xs[1:], ys[1:]
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    t = np.where(seg2 > 0.0, ((px - ax) * dx + (py - ay) * dy) / np.where(seg2 > 0.0, seg2, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    cx, cy = ax + t * dx, ay + t * dy
-    return float(np.sqrt(np.min((px - cx) ** 2 + (py - cy) ** 2)))
+    return bool(desc.contains(state.m, state.h))
 
 
 def distance_to_frontier(desc: KernelDescription, state: State) -> float:
@@ -283,12 +304,9 @@ def distance_to_frontier(desc: KernelDescription, state: State) -> float:
     The frontier is the segment h = H_bar over [0, M_bar] joined with the
     sampled curve; the distance is the point-to-polyline minimum.
     """
-    if desc.regime is not Regime.MEDIUM:
-        raise ValueError("distance to frontier is only defined for medium kernels")
     if not kernel_membership(desc, state):
         raise ValueError(f"state ({state.m}, {state.h}) lies outside the kernel")
-    xs, ys = _frontier_polyline(desc)
-    return _point_polyline_distance(xs, ys, state.m, state.h)
+    return float(desc.frontier_distance(state.m, state.h))
 
 
 def regime_diagram(

@@ -1,8 +1,12 @@
 """Simulation of the controlled system under constant, piecewise-constant
 and saturating-feedback fumigation policies, plus constraint auditing.
 
-The feedback policy interpolates between minimal and maximal fumigation
-according to the distance to the kernel frontier,
+A policy is a pure map `control(t, m, h) -> u`.  It takes scalars or
+arrays of one common shape and returns u of that shape, states the range
+`u_range` of the rates it can emit, and exposes the viability `kernel` it
+steers by (None for open-loop policies).  The feedback policy interpolates
+between minimal and maximal fumigation according to the distance d to the
+kernel frontier,
 
     u = (1 - exp(-d)) * u_min + exp(-d) * u_max,
 
@@ -12,20 +16,12 @@ a smooth autonomous system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from rossmac.kernel import (
-    KernelDescription,
-    Regime,
-    _frontier_polyline,
-    _point_polyline_distance,
-    distance_to_frontier,
-    kernel_membership,
-)
+from rossmac.kernel import KernelDescription, Regime
 from rossmac.model import ModelRates, State, g_h, g_m
 
 
@@ -37,22 +33,17 @@ class SimulationError(RuntimeError):
         self.at_time = at_time
 
 
-def feedback_control(
-    state: State, kernel: KernelDescription, u_min: float, u_max: float
-) -> float:
-    """Saturating viable control: u_max on the frontier, decaying to u_min
-    deep inside the kernel."""
-    d = distance_to_frontier(kernel, state)
-    w = math.exp(-d)
-    return min(max((1.0 - w) * u_min + w * u_max, u_min), u_max)
-
-
 @dataclass(frozen=True)
 class ConstantControl:
     u: float
+    kernel = None
 
-    def control(self, t: float, m: float, h: float) -> float:
-        return self.u
+    @property
+    def u_range(self) -> tuple[float, float]:
+        return self.u, self.u
+
+    def control(self, t, m, h):
+        return self.u + 0.0 * np.asarray(t)  # u, shaped like t
 
     def breakpoints_within(self, horizon: float) -> list[float]:
         return []
@@ -64,22 +55,26 @@ class PiecewiseConstantControl:
     breakpoint at or before t applies.  First breakpoint must be at t=0."""
 
     schedule: tuple[tuple[float, float], ...]
+    kernel = None
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.schedule or self.schedule[0][0] != 0.0:
             raise ValueError("schedule must start with a breakpoint at t = 0")
-        times = [t for t, _ in self.schedule]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        times, rates = (np.array(c, dtype=float) for c in zip(*self.schedule))
+        if np.any(np.diff(times) <= 0.0):
             raise ValueError("breakpoint times must be strictly increasing")
+        object.__setattr__(self, "_times", times)
+        # Indexed by searchsorted(times, t, "right"), which is 0 for t < 0.
+        object.__setattr__(self, "_rates", np.concatenate((rates[:1], rates)))
 
-    def control(self, t: float, m: float, h: float) -> float:
-        u = self.schedule[0][1]
-        for tb, ub in self.schedule:
-            if tb <= t:
-                u = ub
-            else:
-                break
-        return u
+    @property
+    def u_range(self) -> tuple[float, float]:
+        return float(self._rates.min()), float(self._rates.max())
+
+    def control(self, t, m, h):
+        return self._rates[self._times.searchsorted(t, side="right")]
 
     def breakpoints_within(self, horizon: float) -> list[float]:
         return [t for t, _ in self.schedule if 0.0 < t < horizon]
@@ -88,8 +83,9 @@ class PiecewiseConstantControl:
 class SaturatingFeedback:
     """State feedback saturating at u_max on the kernel frontier.
 
-    States that drift outside the kernel are clamped to u_max rather than
-    erroring mid-integration; the event is recorded on `left_kernel`.
+    States outside the kernel get u_max rather than an error, so that
+    drift across the frontier does not stop an integration; `simulate`
+    reports such states on `Trajectory.left_kernel`.
     """
 
     def __init__(self, kernel: KernelDescription, u_min: float, u_max: float):
@@ -100,23 +96,15 @@ class SaturatingFeedback:
         self.kernel = kernel
         self.u_min = u_min
         self.u_max = u_max
-        self.left_kernel = False
-        self._poly = _frontier_polyline(kernel)
 
-    def control(self, t: float, m: float, h: float) -> float:
-        k = self.kernel
-        # Small negative drift in m or h still counts as inside.
-        inside = (m <= k.M_bar and h <= k.H_bar) or (
-            m <= k.M_inf
-            and h <= float(k.frontier_value(min(max(m, k.M_bar), k.M_inf)))
-        )
-        if not inside:
-            self.left_kernel = True
-            return self.u_max
-        xs, ys = self._poly
-        d = _point_polyline_distance(xs, ys, m, h)
-        w = math.exp(-d)
-        return min(max((1.0 - w) * self.u_min + w * self.u_max, self.u_min), self.u_max)
+    @property
+    def u_range(self) -> tuple[float, float]:
+        return self.u_min, self.u_max
+
+    def control(self, t, m, h):
+        w = np.exp(-self.kernel.frontier_distance(m, h))
+        u = np.minimum(np.maximum((1.0 - w) * self.u_min + w * self.u_max, self.u_min), self.u_max)
+        return np.where(self.kernel.contains(m, h), u, self.u_max)
 
     def breakpoints_within(self, horizon: float) -> list[float]:
         return []
@@ -143,22 +131,6 @@ class Trajectory:
         return float(self.m[-1]), float(self.h[-1])
 
 
-def _validate_policy_bounds(policy, rates: ModelRates) -> None:
-    if isinstance(policy, ConstantControl):
-        us = [policy.u]
-    elif isinstance(policy, PiecewiseConstantControl):
-        us = [u for _, u in policy.schedule]
-    elif isinstance(policy, SaturatingFeedback):
-        us = [policy.u_min, policy.u_max]
-    else:
-        raise TypeError(f"unsupported policy {policy!r}")
-    for u in us:
-        if not (rates.u_min <= u <= rates.u_max):
-            raise ValueError(
-                f"policy emits control {u} outside [{rates.u_min}, {rates.u_max}]"
-            )
-
-
 def simulate(
     initial: State,
     policy,
@@ -177,7 +149,11 @@ def simulate(
     """
     if horizon <= 0.0 or dt_out <= 0.0:
         raise ValueError("horizon and dt_out must be positive")
-    _validate_policy_bounds(policy, rates)
+    lo, hi = policy.u_range
+    if lo < rates.u_min or hi > rates.u_max:
+        raise ValueError(
+            f"policy emits controls in [{lo}, {hi}] outside [{rates.u_min}, {rates.u_max}]"
+        )
 
     def rhs(t, z):
         m, h = z
@@ -241,15 +217,9 @@ def simulate(
     t, idx = np.unique(np.round(t, 15), return_index=True)
     m = np.concatenate(ms)[idx]
     h = np.concatenate(hs)[idx]
-    u = np.array([policy.control(ti, mi, hi) for ti, mi, hi in zip(t, m, h)])
-    return Trajectory(
-        t=t,
-        m=m,
-        h=h,
-        u=u,
-        dt_out=dt_out,
-        left_kernel=getattr(policy, "left_kernel", False),
-    )
+    u = np.asarray(policy.control(t, m, h), dtype=float)
+    left = policy.kernel is not None and not np.all(policy.kernel.contains(m, h))
+    return Trajectory(t=t, m=m, h=h, u=u, dt_out=dt_out, left_kernel=left)
 
 
 def audit_viability(traj: Trajectory, H_bar: float) -> float | None:

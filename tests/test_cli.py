@@ -107,6 +107,14 @@ class TestBoundary:
             s = State(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
             assert kernel_membership(rebuilt, s) == kernel_membership(direct, s)
 
+    def test_cap_just_below_upper_threshold(self, tmp_path, capsys):
+        # M_inf lies within a quarter step of M_bar here: the frontier is
+        # its start and end sample alone.
+        code, out, err = run("boundary", tmp_path, {**MEDIUM, "H_bar": "0.7564885"}, capsys)
+        assert code == 0, err
+        rows = (tmp_path / "frontier.csv").read_text().splitlines()
+        assert rows[1].split(",")[1] == "0.7564885"
+
     def test_non_medium_exits_3(self, tmp_path, capsys):
         code, _, err = run("boundary", tmp_path, {**MEDIUM, "H_bar": "0.9"}, capsys)
         assert code == cli.EXIT_NOT_MEDIUM_BOUNDARY
@@ -215,6 +223,15 @@ class TestDiagram:
         code, _, err = run("diagram", tmp_path, cfg, capsys)
         assert code == cli.EXIT_BAD_CONFIG
         assert "H_grid" in err
+
+
+    def test_cell_outside_ranges_exits_2(self, tmp_path, capsys):
+        cfg = {"A_m": "0.02906", "A_h": "0.31066", "gamma": "0.1", "u_max": "0.03733",
+               "u_grid": "0.01,0.03733", "H_grid": "0.5,1.0"}
+        code, _, err = run("diagram", tmp_path, cfg, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "H_bar" in err
+        assert not (tmp_path / "diagram.csv").exists()
 
 
 class TestFit:

@@ -143,6 +143,19 @@ class TestBoundaryCurve:
         assert fm[-1] == 1.0
         assert fy[-1] > 0.0
 
+    def test_cap_just_below_upper_threshold(self):
+        # M_bar lies within a quarter step of m = 1 here, so the sample grid
+        # holds M_bar alone; the frontier must keep it as its start.
+        H_bar = regime_thresholds(MEDIUM_RATES)[1] - 1e-6
+        desc = build_kernel(MEDIUM_RATES, H_bar)
+        assert desc.regime is Regime.MEDIUM
+        assert desc.frontier_m[0] == desc.M_bar == m_bar(MEDIUM_RATES, H_bar)
+        assert desc.frontier_y[0] == H_bar
+        orbit = reversed_orbit_exit(MEDIUM_RATES, desc.M_bar, H_bar)
+        assert orbit.edge == "m=1" and desc.M_inf == 1.0
+        assert desc.M_inf == pytest.approx(orbit.m, abs=1e-8)
+        assert desc.frontier_y[-1] == pytest.approx(orbit.h, abs=1e-8)
+
     def test_low_regime_precondition_reported(self):
         # In the low regime the denominator starts nonnegative.
         with pytest.raises(FrontierIntegrationError):

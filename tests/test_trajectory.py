@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rossmac.kernel import (
     KernelDescription,
@@ -18,7 +20,6 @@ from rossmac.trajectory import (
     SaturatingFeedback,
     Trajectory,
     audit_viability,
-    feedback_control,
     simulate,
 )
 
@@ -120,20 +121,28 @@ class TestPolicies:
 
     def test_feedback_clamps_outside_kernel(self, medium_kernel):
         fb = SaturatingFeedback(medium_kernel, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
-        u = fb.control(0.0, 0.9, 0.4)
-        assert u == MEDIUM_RATES.u_max
-        assert fb.left_kernel
+        assert fb.control(0.0, 0.9, 0.4) == MEDIUM_RATES.u_max
+        traj = simulate(State(0.9, 0.4), fb, MEDIUM_RATES, 10.0, dt_out=0.5)
+        assert traj.left_kernel
+
+    def test_feedback_reuse_after_outside_call(self, medium_kernel):
+        # A policy is a pure function: an earlier call outside the kernel
+        # must not mark a later run from a kernel state.
+        fb = SaturatingFeedback(medium_kernel, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
+        fb.control(0.0, 0.9, 0.4)
+        traj = simulate(State(0.1, 0.1), fb, MEDIUM_RATES, 10.0, dt_out=0.5)
+        assert not traj.left_kernel
 
 
 class TestFeedbackControl:
     def test_u_max_on_frontier(self, medium_kernel):
-        u = feedback_control(State(0.1, 0.5), medium_kernel, 0.01, 0.03733)
-        assert u == pytest.approx(0.03733, abs=1e-15)
+        fb = SaturatingFeedback(medium_kernel, 0.01, 0.03733)
+        assert fb.control(0.0, 0.1, 0.5) == pytest.approx(0.03733, abs=1e-15)
 
     def test_limit_far_from_frontier(self, medium_kernel):
         # exp(-d) weight: a direct check of the interpolation formula
         u_min, u_max = 0.01, 0.03733
-        u0 = feedback_control(State(0.0, 0.0), medium_kernel, u_min, u_max)
+        u0 = SaturatingFeedback(medium_kernel, u_min, u_max).control(0.0, 0.0, 0.0)
         dd = distance_to_frontier(medium_kernel, State(0.0, 0.0))
         expected = (1 - math.exp(-dd)) * u_min + math.exp(-dd) * u_max
         assert u0 == pytest.approx(expected, abs=1e-15)
@@ -146,12 +155,33 @@ class TestFeedbackControl:
         s = State(0.05, k.H_bar - drop)
         assert distance_to_frontier(k, s) == pytest.approx(drop, abs=1e-12)
         w = math.exp(-drop)
-        u = feedback_control(s, k, 0.01, 0.03)
+        u = SaturatingFeedback(k, 0.01, 0.03).control(0.0, s.m, s.h)
         assert u == pytest.approx((1 - w) * 0.01 + w * 0.03, abs=1e-14)
 
-    def test_rejects_outside_kernel(self, medium_kernel):
-        with pytest.raises(ValueError):
-            feedback_control(State(0.9, 0.45), medium_kernel, 0.01, 0.03733)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_array_calls_match_scalar_calls(self, medium_kernel, data):
+        k = medium_kernel
+        unit = st.floats(0.0, 1.0)
+        box = data.draw(st.lists(st.tuples(unit, unit), max_size=100))
+        # Kernel states: below the cap up to M_bar, below the curve beyond it.
+        below = data.draw(st.lists(st.tuples(st.floats(0.0, k.M_inf), unit), max_size=100))
+        kernel = [(m, f * float(k.frontier_value(max(m, k.M_bar)))) for m, f in below]
+        points = [(0.9, 0.4)] + box + kernel
+        m, h = np.array(points).T
+        fb = SaturatingFeedback(k, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
+        inside, dist, u = k.contains(m, h), k.frontier_distance(m, h), fb.control(0.0, m, h)
+        assert inside.shape == dist.shape == u.shape == m.shape
+        for i, (mi, hi) in enumerate(points):
+            assert inside[i] == k.contains(mi, hi)
+            assert dist[i] == k.frontier_distance(mi, hi)
+            assert u[i] == fb.control(0.0, mi, hi)
+            if inside[i]:
+                assert dist[i] == distance_to_frontier(k, State(mi, hi))
+        assert not inside[0] and u[0] == MEDIUM_RATES.u_max
+        assert np.all(inside[len(box) + 1 :])
+        assert np.all(u[~inside] == MEDIUM_RATES.u_max)
 
 
 class TestAudit:
