@@ -10,7 +10,6 @@ from rossmac.estimation import (
     objective,
 )
 from rossmac.kernel import (
-    ConstraintBox,
     KernelDescription,
     Regime,
     boundary_curve,
@@ -28,7 +27,6 @@ from rossmac.model import (
     check_dominance,
     derive_rates,
     endemic_equilibrium,
-    is_viable_equilibrium,
     vector_field,
 )
 from rossmac.trajectory import (
@@ -42,8 +40,8 @@ from rossmac.trajectory import (
 
 __all__ = [
     "EpiParams", "ModelRates", "State", "derive_rates", "vector_field",
-    "endemic_equilibrium", "is_viable_equilibrium", "check_dominance",
-    "Regime", "KernelDescription", "ConstraintBox", "classify_regime",
+    "endemic_equilibrium", "check_dominance",
+    "Regime", "KernelDescription", "classify_regime",
     "m_bar", "boundary_curve", "build_kernel", "kernel_membership",
     "distance_to_frontier", "regime_diagram",
     "ConstantControl", "PiecewiseConstantControl", "SaturatingFeedback",

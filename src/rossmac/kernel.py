@@ -5,11 +5,13 @@ Three regimes arise depending on the cap H_bar on infected humans:
   low    -- the kernel reduces to the origin,
   high   -- the whole constraint box [0,1] x [0,H_bar] is strongly invariant,
   medium -- the kernel is a strict subset whose upper-right frontier is the
-            graph of a strictly decreasing curve Y(m), obtained by
-            integrating a boundary ODE in m under maximal fumigation.
+            graph of a strictly decreasing curve Y(m): the orbit under
+            maximal fumigation that arrives at (M_bar, H_bar), traced by
+            integrating backwards in time from that point.
 
-The frontier curve is also an orbit of the controlled field under maximal
-fumigation, which the test suite exploits as an independent check.
+The frontier is held as one polyline, the flat cap over [0, M_bar] joined
+with the sampled curve, which answers membership, height and distance
+queries alike.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from rossmac.model import ModelRates, State, g_h, g_m
 
@@ -27,6 +28,9 @@ from rossmac.model import ModelRates, State, g_h, g_m
 # Points per block of frontier_distance: a block's (points x segments)
 # temporaries stay small whatever the number of points.
 _DISTANCE_BLOCK = 64
+
+# Backward time span allowed for the frontier orbit to leave the box.
+_FRONTIER_HORIZON = 1e4
 
 
 class Regime(enum.Enum):
@@ -36,8 +40,9 @@ class Regime(enum.Enum):
 
 
 class FrontierIntegrationError(RuntimeError):
-    """The boundary ODE left its domain of validity (denominator sign flip
-    or integrator failure)."""
+    """The backward u_max orbit from (M_bar, H_bar) does not trace a
+    frontier: it is not a graph over m, it stays in the box up to the time
+    horizon, or the integrator failed."""
 
 
 def regime_thresholds(rates: ModelRates, u_max: float | None = None) -> tuple[float, float]:
@@ -91,26 +96,13 @@ def m_bar(rates: ModelRates, H_bar: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConstraintBox:
-    """The admissible region [0,1] x [0, H_bar]."""
-
-    H_bar: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.H_bar < 1.0:
-            raise ValueError(f"H_bar must lie in (0, 1), got {self.H_bar!r}")
-
-    def contains(self, state: State) -> bool:
-        return state.h <= self.H_bar
-
-
-@dataclass(frozen=True)
 class KernelDescription:
     """Tagged description of the viability kernel for a given cap.
 
     For the medium regime the frontier curve is stored as ascending-m
     samples (frontier_m, frontier_y) running from (M_bar, H_bar) to
-    (M_inf, Y(M_inf)); queries interpolate them with a monotone cubic.
+    (M_inf, Y(M_inf)).  Queries read one polyline: the flat cap segment
+    over [0, M_bar] joined with the chords between the samples.
     """
 
     regime: Regime
@@ -120,7 +112,7 @@ class KernelDescription:
     frontier_m: np.ndarray | None = None
     frontier_y: np.ndarray | None = None
     outside_proven_hypotheses: bool = False
-    _interp: PchipInterpolator | None = field(
+    _polyline: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
     _segments: tuple[np.ndarray, ...] | None = field(
@@ -143,22 +135,19 @@ class KernelDescription:
             raise ValueError("frontier must be strictly decreasing in Y")
         if np.any(fm < 0.0) or np.any(fm > 1.0) or np.any(fy < 0.0) or np.any(fy > 1.0):
             raise ValueError("frontier samples must lie in the unit square")
-        object.__setattr__(self, "_interp", PchipInterpolator(fm, fy))
-        # Upper frontier polyline: the flat cap segment over [0, M_bar]
-        # joined with the chords of the sampled curve.
         xs = np.concatenate(([0.0], fm))
         ys = np.concatenate(([self.H_bar], fy))
         dx, dy = np.diff(xs), np.diff(ys)
         seg2 = dx * dx + dy * dy
-        object.__setattr__(
-            self, "_segments", (xs[:-1], ys[:-1], dx, dy, np.where(seg2 > 0.0, seg2, 1.0))
-        )
+        object.__setattr__(self, "_polyline", (xs, ys))
+        object.__setattr__(self, "_segments", (dx, dy, np.where(seg2 > 0.0, seg2, 1.0)))
 
     def frontier_value(self, m) -> np.ndarray:
-        """Interpolated frontier height Y(m) for m in [M_bar, M_inf]."""
-        if self._interp is None:
+        """Frontier height Y(m) read off the polyline; H_bar below M_bar
+        and Y(M_inf) beyond M_inf."""
+        if self._polyline is None:
             raise ValueError("frontier only defined for the medium regime")
-        return self._interp(m)
+        return np.interp(m, *self._polyline)
 
     def contains(self, m, h) -> np.ndarray:
         """Whether points (m, h), scalars or arrays, lie in the closed kernel.
@@ -171,15 +160,15 @@ class KernelDescription:
             return (m == 0.0) & (h == 0.0)
         if self.regime is Regime.HIGH:
             return h <= self.H_bar
-        y = self._interp(np.minimum(np.maximum(m, self.M_bar), self.M_inf))
-        return np.where(m <= self.M_bar, h <= self.H_bar, (m <= self.M_inf) & (h <= y))
+        return (m <= self.M_inf) & (h <= np.interp(m, *self._polyline))
 
     def frontier_distance(self, m, h) -> np.ndarray:
         """Euclidean distance from points (m, h), scalars or arrays, to the
         upper frontier polyline, whether or not they lie in the kernel."""
-        if self._segments is None:
+        if self._polyline is None:
             raise ValueError("distance to frontier is only defined for medium kernels")
-        ax, ay, dx, dy, seg2 = self._segments
+        (xs, ys), (dx, dy, seg2) = self._polyline, self._segments
+        ax, ay = xs[:-1], ys[:-1]
         m, h = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(h, dtype=float))
         px, py = m.reshape(-1, 1), h.reshape(-1, 1)
         out = np.empty(px.shape[0])
@@ -196,73 +185,89 @@ def boundary_curve(
     rates: ModelRates,
     H_bar: float,
     step: float = 1e-3,
-    rtol: float = 1e-9,
-    atol: float = 1e-9,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Integrate the frontier ODE Y'(m) = g_h / g_m forward in m.
+    """Trace the frontier as the u_max orbit arriving at (M_bar, H_bar).
 
-    Starts exactly at (M_bar, H_bar), where the quotient is 0/negative,
-    and stops when Y hits zero (M_inf < 1) or m reaches 1 (M_inf = 1).
-    Returns (M_inf, m_samples, y_samples) with samples spaced by `step`.
+    The field (g_m, g_h) under maximal fumigation is integrated backwards
+    in time from (M_bar, H_bar) until the orbit leaves the box through
+    h = 0 (M_inf < 1) or m = 1 (M_inf = 1).  Along the way m must not
+    decrease, so that the orbit is the graph of Y over [M_bar, M_inf].
+    Returns (M_inf, m_samples, y_samples): samples at M_bar + k*step, with
+    a last grid point crowding M_inf dropped, followed by M_inf itself.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     mb = m_bar(rates, H_bar)
     if mb >= 1.0:
         raise ValueError("frontier start M_bar >= 1; cap is not in the medium regime")
-
-    den0 = g_m(mb, H_bar, rates.u_max, rates)
-    if den0 >= 0.0:
+    # With g_m < 0 at the start, m increases and h decreases along the
+    # whole backward orbit, so it leaves the box as a graph over m.
+    if g_m(mb, H_bar, rates.u_max, rates) >= 0.0:
         raise FrontierIntegrationError(
-            "frontier ODE denominator nonnegative at the start; "
+            "backward orbit does not start towards larger m; "
             "parameters violate the medium-regime hypotheses"
         )
 
-    def rhs(m, y):
-        return [g_h(m, y[0], rates) / g_m(m, y[0], rates.u_max, rates)]
+    def rhs(t, y):
+        m, h = y
+        return [-g_m(m, h, rates.u_max, rates), -g_h(m, h, rates)]
 
-    def hit_zero(m, y):
-        return y[0]
+    def h_zero(t, y):
+        return y[1]
 
-    hit_zero.terminal = True
-    hit_zero.direction = -1
+    h_zero.terminal = True
+    h_zero.direction = -1
 
-    def denom_zero(m, y):
-        return g_m(m, y[0], rates.u_max, rates)
+    def m_one(t, y):
+        return y[0] - 1.0
 
-    denom_zero.terminal = True
-    denom_zero.direction = 1
+    m_one.terminal = True
+    m_one.direction = 1
 
     sol = solve_ivp(
         rhs,
-        (mb, 1.0),
-        [H_bar],
-        method="RK45",
+        (0.0, _FRONTIER_HORIZON),
+        [mb, H_bar],
+        method="DOP853",
         rtol=rtol,
         atol=atol,
-        events=(hit_zero, denom_zero),
+        events=(h_zero, m_one),
         dense_output=True,
     )
-    if sol.status == -1:
-        raise FrontierIntegrationError(f"frontier integration failed: {sol.message}")
-    if sol.t_events[1].size > 0:
+    if sol.status != 1:
         raise FrontierIntegrationError(
-            "frontier ODE denominator changed sign during integration"
+            f"backward orbit did not leave the box by t = {_FRONTIER_HORIZON}: {sol.message}"
         )
-
+    t_steps, m_steps = sol.t, sol.y[0]
+    # Steps may leave m unchanged at float resolution when the start lies
+    # near the equilibrium (H_bar just above the lower threshold).
+    if np.any(np.diff(m_steps) < 0.0):
+        raise FrontierIntegrationError(
+            "backward orbit is not a graph over m; "
+            "parameters violate the medium-regime hypotheses"
+        )
     if sol.t_events[0].size > 0:
-        m_inf = float(sol.t_events[0][0])
-        y_end = 0.0
+        m_inf, y_end = float(m_steps[-1]), 0.0
     else:
-        m_inf = 1.0
-        y_end = float(sol.sol(1.0)[0])
+        m_inf, y_end = 1.0, float(sol.y[1, -1])
 
     m_grid = np.arange(mb, m_inf, step)
     # Trim a last grid point crowding M_inf, but never the start M_bar.
     if m_grid.size > 1 and m_inf - m_grid[-1] < 0.25 * step:
         m_grid = m_grid[:-1]
     m_samples = np.append(m_grid, m_inf)
-    y_samples = sol.sol(m_samples)[0]
+    # Times at which the orbit crosses each sample m: interpolate over the
+    # solver steps, then refine with Newton on the dense output, where
+    # dm/dt = -g_m and dh/dt = -g_h along the reversed orbit.  The last
+    # time correction is carried to h to first order instead of evaluated.
+    t = np.interp(m_samples, m_steps, t_steps)
+    for _ in range(3):
+        m, h = sol.sol(t)
+        dt = (m - m_samples) / g_m(m, h, rates.u_max, rates)
+        t += dt
+    y_samples = h - g_h(m, h, rates) * dt
     y_samples[0] = H_bar
     y_samples[-1] = y_end
     # Integration noise can leave tiny out-of-range tail values near zero.
@@ -274,8 +279,8 @@ def build_kernel(
     rates: ModelRates,
     H_bar: float,
     step: float = 1e-3,
-    rtol: float = 1e-9,
-    atol: float = 1e-9,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
 ) -> KernelDescription:
     """Classify the regime and, for medium caps, compute the frontier."""
     regime = classify_regime(rates, H_bar)

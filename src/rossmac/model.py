@@ -142,14 +142,6 @@ def endemic_equilibrium(rates: ModelRates, u_const: float) -> State | None:
     return State(m=m_star, h=h_star)
 
 
-def is_viable_equilibrium(rates: ModelRates, u_const: float, H_bar: float) -> bool:
-    """True iff the endemic equilibrium exists and respects the human cap."""
-    if not 0.0 < H_bar < 1.0:
-        raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
-    eq = endemic_equilibrium(rates, u_const)
-    return eq is not None and eq.h <= H_bar
-
-
 def check_dominance(traj_low, traj_high, tol: float) -> bool:
     """Componentwise comparison of two trajectories on a shared time grid.
 

@@ -1,10 +1,12 @@
 """Tests for regime classification, the frontier curve and kernel queries.
 
 Medium-regime fixtures use the reduced rates A_h=0.31066, A_m=0.02906,
-gamma=0.1, u_max=0.03733 with H_bar=0.5.  The frontier endpoint for that
+gamma=0.1, u_max=0.03733 with H_bar=0.5.  The library traces the frontier
+as the backward u_max orbit from (M_bar, H_bar).  Its endpoint for that
 instance is frozen at M_inf = 0.427869601 and is also cross-checked at run
-time against an independent backward-in-time orbit of the full system
-(tests/frontier_oracle.py); the two agree to 1e-9.
+time against a tighter backward orbit (tests/frontier_oracle.py); the two
+agree to 1e-9.  The samples in between are checked against the boundary
+ODE Y'(m) = g_h / g_m, integrated in m by the same oracle module.
 """
 
 import numpy as np
@@ -13,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rossmac.kernel import (
-    ConstraintBox,
     FrontierIntegrationError,
     KernelDescription,
     Regime,
@@ -30,9 +31,14 @@ from rossmac.kernel import (
 from rossmac.model import ModelRates, State, g_h, g_m
 from rossmac.trajectory import ConstantControl, SaturatingFeedback, audit_viability, simulate
 
-from frontier_oracle import reversed_orbit_exit
+from frontier_oracle import boundary_ode_values, reversed_orbit_exit
 
 MEDIUM_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733)
+STRONG_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.3733)
+# The medium cell where integrating the frontier in m, at rtol = atol = 1e-9,
+# missed the orbit's end through m = 1 by 2.6e-8.
+Y1_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.0176054269488865)
+Y1_H_BAR = 0.7217515362100086
 M_INF_FROZEN = 0.427869601
 
 
@@ -144,20 +150,33 @@ class TestBoundaryCurve:
         assert fy[-1] > 0.0
 
     def test_cap_just_below_upper_threshold(self):
-        # M_bar lies within a quarter step of m = 1 here, so the sample grid
-        # holds M_bar alone; the frontier must keep it as its start.
-        H_bar = regime_thresholds(MEDIUM_RATES)[1] - 1e-6
-        desc = build_kernel(MEDIUM_RATES, H_bar)
-        assert desc.regime is Regime.MEDIUM
-        assert desc.frontier_m[0] == desc.M_bar == m_bar(MEDIUM_RATES, H_bar)
-        assert desc.frontier_y[0] == H_bar
-        orbit = reversed_orbit_exit(MEDIUM_RATES, desc.M_bar, H_bar)
-        assert orbit.edge == "m=1" and desc.M_inf == 1.0
-        assert desc.M_inf == pytest.approx(orbit.m, abs=1e-8)
-        assert desc.frontier_y[-1] == pytest.approx(orbit.h, abs=1e-8)
+        # Just below the upper threshold, M_bar lies within a quarter step of
+        # m = 1, so the sample grid holds M_bar alone; the frontier must keep
+        # it as its start.  Both cells leave the box through m = 1.
+        near_upper = regime_thresholds(MEDIUM_RATES)[1] - 1e-6
+        for rates, H_bar in ((MEDIUM_RATES, near_upper), (Y1_RATES, Y1_H_BAR)):
+            desc = build_kernel(rates, H_bar)
+            assert desc.regime is Regime.MEDIUM
+            assert desc.frontier_m[0] == desc.M_bar == m_bar(rates, H_bar)
+            assert desc.frontier_y[0] == H_bar
+            orbit = reversed_orbit_exit(rates, desc.M_bar, H_bar)
+            assert orbit.edge == "m=1" and desc.M_inf == 1.0
+            assert desc.M_inf == pytest.approx(orbit.m, abs=1e-8)
+            assert desc.frontier_y[-1] == pytest.approx(orbit.h, abs=1e-8)
+
+    def test_samples_match_boundary_ode(self, medium_kernel):
+        kernels = (
+            (MEDIUM_RATES, medium_kernel),
+            (STRONG_RATES, build_kernel(STRONG_RATES, 0.5)),
+            (Y1_RATES, build_kernel(Y1_RATES, Y1_H_BAR)),
+        )
+        for rates, desc in kernels:
+            y = boundary_ode_values(rates, desc.M_bar, desc.H_bar, desc.frontier_m)
+            assert np.max(np.abs(y - desc.frontier_y)) < 1e-8
 
     def test_low_regime_precondition_reported(self):
-        # In the low regime the denominator starts nonnegative.
+        # In the low regime g_m starts nonnegative: the backward orbit heads
+        # towards smaller m and is no graph over [M_bar, M_inf].
         with pytest.raises(FrontierIntegrationError):
             boundary_curve(MEDIUM_RATES, 0.4, step=1e-3)
 
@@ -236,10 +255,9 @@ class TestDistance:
     def test_zero_on_frontier(self, medium_kernel):
         k = medium_kernel
         assert distance_to_frontier(k, State(0.1, k.H_bar)) == 0.0
-        # frontier_value interpolates the curve; the stored polyline chords it,
-        # so the gap scales like curvature * step^2 / 8 (~2e-8 at step 2e-4)
+        # frontier_value reads the same polyline that the distance measures
         m = 0.5 * (k.M_bar + k.M_inf)
-        assert distance_to_frontier(k, State(m, float(k.frontier_value(m)))) < 1e-7
+        assert distance_to_frontier(k, State(m, float(k.frontier_value(m)))) < 1e-12
 
     def test_rejects_outside_states(self, medium_kernel):
         with pytest.raises(ValueError):
@@ -322,8 +340,3 @@ class TestViabilityDomainProperties:
                 dt_out=2.0, stop_event=lambda t, m, h: h - k.H_bar,
             )
             assert audit_viability(traj, k.H_bar) is not None or traj.t[-1] < 5000.0
-
-    def test_constraint_box(self):
-        box = ConstraintBox(H_bar=0.4)
-        assert box.contains(State(1.0, 0.4))
-        assert not box.contains(State(0.0, 0.41))

@@ -15,7 +15,6 @@ from rossmac.model import (
     endemic_equilibrium,
     g_h,
     g_m,
-    is_viable_equilibrium,
     vector_field,
 )
 from rossmac.trajectory import ConstantControl, PiecewiseConstantControl, simulate
@@ -141,18 +140,6 @@ class TestEndemicEquilibrium:
             eq = endemic_equilibrium(rates, u)
             dm, dh = vector_field(eq, u, rates)
             assert max(abs(dm), abs(dh)) < 1e-10
-
-
-class TestViableEquilibrium:
-    def test_cap_at_equilibrium_height(self):
-        assert is_viable_equilibrium(RATES, 0.2, H_bar=0.5)
-
-    def test_cap_below_equilibrium_height(self):
-        assert not is_viable_equilibrium(RATES, 0.2, H_bar=0.4)
-
-    def test_false_without_equilibrium(self):
-        rates = ModelRates(A_m=0.05, A_h=0.05, gamma=0.1, u_min=0.05, u_max=0.2)
-        assert not is_viable_equilibrium(rates, 0.1, H_bar=0.5)
 
 
 class TestDominance:
