@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Compare the saturating feedback policy against constant minimal and
 maximal fumigation from the same kernel-interior start, and report total
-control effort and any constraint violations.
+control effort, any constraint violations and the wall time of each run
+(`wall_ms`, one `simulate` call).
 
 Usage:
     python3 scripts/feedback_vs_constant.py [--m0 0.05] [--h0 0.1] [--horizon 400]
 """
 
 import argparse
+import time
 
 from scipy.integrate import trapezoid
 
@@ -46,13 +48,15 @@ def main() -> None:
     }
     print(f"start=({args.m0}, {args.h0})  H_bar={H_BAR}  horizon={args.horizon}")
     for name, policy in policies.items():
+        t0 = time.perf_counter()
         traj = simulate(start, policy, RATES, args.horizon, dt_out=1.0)
+        wall_ms = (time.perf_counter() - t0) * 1e3
         violation = audit_viability(traj, H_BAR)
         m_end, h_end = traj.final_state()
         print(
             f"{name:22s} effort={effort(traj):8.3f} "
             f"violation={'none' if violation is None else f'{violation:.1f}'} "
-            f"final=({m_end:.4f}, {h_end:.4f})"
+            f"final=({m_end:.4f}, {h_end:.4f}) wall_ms={wall_ms:.1f}"
         )
 
 

@@ -114,10 +114,12 @@ def rates_from_config(cfg: dict[str, str]) -> ModelRates:
         raise ConfigError(str(exc)) from exc
 
 
-def _tolerances(cfg: dict[str, str], tol_flag: float | None) -> tuple[float, float]:
+def _tolerances(cfg: dict[str, str], tol_flag: float | None) -> dict[str, float]:
+    """Integrator tolerances from --tol or the rtol/atol keys.  Those not
+    given are left out, so each library function keeps its own default."""
     if tol_flag is not None:
-        return tol_flag, tol_flag
-    return _get_float(cfg, "rtol", 1e-9), _get_float(cfg, "atol", 1e-12)
+        return {"rtol": tol_flag, "atol": tol_flag}
+    return {key: _get_float(cfg, key) for key in ("rtol", "atol") if key in cfg}
 
 
 def _out_dir(cfg: dict[str, str], out_flag: str | None) -> Path:
@@ -176,7 +178,7 @@ def cmd_boundary(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
     H_bar = _get_float(cfg, "H_bar")
     step = _get_float(cfg, "step", 1e-3)
-    rtol, atol = _tolerances(cfg, args.tol)
+    tols = _tolerances(cfg, args.tol)
     regime = classify_regime(rates, H_bar)
     if regime is not Regime.MEDIUM:
         print(
@@ -186,7 +188,7 @@ def cmd_boundary(cfg: dict[str, str], args) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_MEDIUM_BOUNDARY
-    desc = build_kernel(rates, H_bar, step=step, rtol=rtol, atol=atol)
+    desc = build_kernel(rates, H_bar, step=step, **tols)
     out = _out_dir(cfg, args.out)
     csv_path = out / "frontier.csv"
     _write_frontier_csv(csv_path, desc.frontier_m, desc.frontier_y)
@@ -200,7 +202,7 @@ def cmd_boundary(cfg: dict[str, str], args) -> int:
     return 0
 
 
-def _policy_from_config(cfg, rates, H_bar, step, rtol, atol):
+def _policy_from_config(cfg, rates, H_bar, step, tols):
     kind = cfg.get("policy", "constant").lower()
     if kind == "constant":
         return ConstantControl(_get_float(cfg, "u", rates.u_max))
@@ -220,7 +222,7 @@ def _policy_from_config(cfg, rates, H_bar, step, rtol, atol):
         regime = classify_regime(rates, H_bar)
         if regime is not Regime.MEDIUM:
             return None  # caller maps this to the feedback exit code
-        desc = build_kernel(rates, H_bar, step=step, rtol=rtol, atol=atol)
+        desc = build_kernel(rates, H_bar, step=step, **tols)
         return SaturatingFeedback(desc, rates.u_min, rates.u_max)
     raise ConfigError(f"invalid value for key policy: {kind!r}")
 
@@ -228,7 +230,7 @@ def _policy_from_config(cfg, rates, H_bar, step, rtol, atol):
 def cmd_simulate(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
     H_bar = _get_float(cfg, "H_bar")
-    rtol, atol = _tolerances(cfg, args.tol)
+    tols = _tolerances(cfg, args.tol)
     try:
         initial = State(m=_get_float(cfg, "m0"), h=_get_float(cfg, "h0"))
     except ValueError as exc:
@@ -236,7 +238,7 @@ def cmd_simulate(cfg: dict[str, str], args) -> int:
     horizon = _get_float(cfg, "horizon")
     dt_out = _get_float(cfg, "dt_out", 0.1)
     step = _get_float(cfg, "step", 1e-3)
-    policy = _policy_from_config(cfg, rates, H_bar, step, rtol, atol)
+    policy = _policy_from_config(cfg, rates, H_bar, step, tols)
     if policy is None:
         print(
             "feedback policy requires the medium regime "
@@ -245,7 +247,7 @@ def cmd_simulate(cfg: dict[str, str], args) -> int:
         )
         return EXIT_NOT_MEDIUM_FEEDBACK
     try:
-        traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, rtol=rtol, atol=atol)
+        traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **tols)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _out_dir(cfg, args.out)

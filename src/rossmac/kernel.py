@@ -139,8 +139,9 @@ class KernelDescription:
         ys = np.concatenate(([self.H_bar], fy))
         dx, dy = np.diff(xs), np.diff(ys)
         seg2 = dx * dx + dy * dy
+        seg2 = np.where(seg2 > 0.0, seg2, 1.0)
         object.__setattr__(self, "_polyline", (xs, ys))
-        object.__setattr__(self, "_segments", (dx, dy, np.where(seg2 > 0.0, seg2, 1.0)))
+        object.__setattr__(self, "_segments", (xs[:-1], ys[:-1], dx, dy, dx / seg2, dy / seg2))
 
     def frontier_value(self, m) -> np.ndarray:
         """Frontier height Y(m) read off the polyline; H_bar below M_bar
@@ -165,20 +166,28 @@ class KernelDescription:
     def frontier_distance(self, m, h) -> np.ndarray:
         """Euclidean distance from points (m, h), scalars or arrays, to the
         upper frontier polyline, whether or not they lie in the kernel."""
-        if self._polyline is None:
+        if self._segments is None:
             raise ValueError("distance to frontier is only defined for medium kernels")
-        (xs, ys), (dx, dy, seg2) = self._polyline, self._segments
-        ax, ay = xs[:-1], ys[:-1]
-        m, h = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(h, dtype=float))
-        px, py = m.reshape(-1, 1), h.reshape(-1, 1)
-        out = np.empty(px.shape[0])
+        ax, ay = self._segments[:2]
+        m, h = np.asarray(m, dtype=float), np.asarray(h, dtype=float)
+        points = np.broadcast(m, h)
+        if points.size <= _DISTANCE_BLOCK:
+            return self._nearest(m[..., None] - ax, h[..., None] - ay)
+        px, py = (a.reshape(-1, 1) for a in np.broadcast_arrays(m, h))
+        out = np.empty(points.size)
         # Blocks of points bound the (points x segments) temporaries.
         for i in range(0, out.size, _DISTANCE_BLOCK):
-            bx, by = px[i : i + _DISTANCE_BLOCK], py[i : i + _DISTANCE_BLOCK]
-            t = np.minimum(np.maximum(((bx - ax) * dx + (by - ay) * dy) / seg2, 0.0), 1.0)
-            cx, cy = ax + t * dx, ay + t * dy
-            out[i : i + _DISTANCE_BLOCK] = np.sqrt(np.min((bx - cx) ** 2 + (by - cy) ** 2, axis=1))
-        return out.reshape(m.shape)
+            block = slice(i, i + _DISTANCE_BLOCK)
+            out[block] = self._nearest(px[block] - ax, py[block] - ay)
+        return out.reshape(points.shape)
+
+    def _nearest(self, px, py) -> np.ndarray:
+        """Point-to-segment distance minimised over the segments, given the
+        offsets (px, py) of points from the segment starts, which run along
+        the last axis."""
+        dx, dy, ux, uy = self._segments[2:]
+        t = np.minimum(np.maximum(px * ux + py * uy, 0.0), 1.0)
+        return np.hypot(px - t * dx, py - t * dy).min(-1)
 
 
 def boundary_curve(

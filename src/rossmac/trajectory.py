@@ -102,9 +102,10 @@ class SaturatingFeedback:
         return self.u_min, self.u_max
 
     def control(self, t, m, h):
-        w = np.exp(-self.kernel.frontier_distance(m, h))
-        u = np.minimum(np.maximum((1.0 - w) * self.u_min + w * self.u_max, self.u_min), self.u_max)
-        return np.where(self.kernel.contains(m, h), u, self.u_max)
+        # Outside the kernel d counts as 0, which gives u = u_max exactly.
+        d = self.kernel.frontier_distance(m, h) * self.kernel.contains(m, h)
+        w = np.exp(-d)
+        return np.minimum(np.maximum((1.0 - w) * self.u_min + w * self.u_max, self.u_min), self.u_max)
 
     def breakpoints_within(self, horizon: float) -> list[float]:
         return []

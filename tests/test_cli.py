@@ -5,8 +5,10 @@ import pytest
 
 from rossmac import cli
 from rossmac.estimation import generate_synthetic_incidence
-from rossmac.kernel import KernelDescription, Regime, build_kernel, kernel_membership
+from rossmac.kernel import KernelDescription, Regime, build_kernel, kernel_membership, m_bar
 from rossmac.model import ModelRates, State
+
+from frontier_oracle import reversed_orbit_exit
 
 MEDIUM = {
     "A_m": "0.02906",
@@ -114,6 +116,21 @@ class TestBoundary:
         assert code == 0, err
         rows = (tmp_path / "frontier.csv").read_text().splitlines()
         assert rows[1].split(",")[1] == "0.7564885"
+
+    def test_default_tolerances_meet_the_m1_exit(self, tmp_path, capsys):
+        # With neither --tol nor rtol/atol keys the frontier is traced at
+        # build_kernel's own tolerances.  On this cell, which leaves the box
+        # through m = 1, a CLI default of rtol = 1e-9 put the last row 8.5e-9
+        # off the backward orbit's exit; build_kernel's default misses by 1.1e-9.
+        u_max, H_bar = 0.01271789327358196, 0.7305437433203956
+        cell = {**MEDIUM, "u_max": repr(u_max), "H_bar": repr(H_bar)}
+        code, _, err = run("boundary", tmp_path, cell, capsys)
+        assert code == 0, err
+        m_end, y_end = np.loadtxt(tmp_path / "frontier.csv", delimiter=",", skiprows=1)[-1]
+        rates = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=u_max)
+        orbit = reversed_orbit_exit(rates, m_bar(rates, H_bar), H_bar)
+        assert orbit.edge == "m=1" and m_end == 1.0
+        assert abs(y_end - orbit.h) < 2e-9
 
     def test_non_medium_exits_3(self, tmp_path, capsys):
         code, _, err = run("boundary", tmp_path, {**MEDIUM, "H_bar": "0.9"}, capsys)

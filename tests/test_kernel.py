@@ -9,12 +9,15 @@ agree to 1e-9.  The samples in between are checked against the boundary
 ODE Y'(m) = g_h / g_m, integrated in m by the same oracle module.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rossmac.kernel import (
+    _DISTANCE_BLOCK,
     FrontierIntegrationError,
     KernelDescription,
     Regime,
@@ -45,6 +48,19 @@ M_INF_FROZEN = 0.427869601
 @pytest.fixture(scope="module")
 def medium_kernel():
     return build_kernel(MEDIUM_RATES, 0.5, step=2e-4)
+
+
+def polyline_distance(xs, ys, m: float, h: float) -> float:
+    """Distance from (m, h) to the polyline through the vertices (xs, ys),
+    one segment at a time in plain floats."""
+    best = math.inf
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        seg2 = dx * dx + dy * dy
+        t = 0.0 if seg2 == 0.0 else ((m - x0) * dx + (h - y0) * dy) / seg2
+        t = min(max(t, 0.0), 1.0)
+        best = min(best, math.hypot(m - (x0 + t * dx), h - (y0 + t * dy)))
+    return best
 
 
 class TestClassification:
@@ -283,6 +299,53 @@ class TestDistance:
                     break
             brute = np.sqrt(np.min((fx - s.m) ** 2 + (fy - s.h) ** 2))
             assert distance_to_frontier(k, s) == pytest.approx(brute, abs=1e-4)
+
+    def test_matches_segment_loop_oracle(self, medium_kernel):
+        kernels = (
+            medium_kernel,
+            build_kernel(STRONG_RATES, 0.5),
+            build_kernel(Y1_RATES, Y1_H_BAR),
+        )
+        rng = np.random.default_rng(11)
+        for k in kernels:
+            # The flat cap from (0, H_bar) joined with the frontier samples.
+            xs = [0.0] + [float(x) for x in k.frontier_m]
+            ys = [k.H_bar] + [float(y) for y in k.frontier_y]
+            box = rng.uniform(0.0, 1.0, (30, 2))
+            under = rng.uniform(0.0, 1.0, (30, 2)) * [k.M_inf, 1.0]
+            under[:, 1] *= np.interp(under[:, 0], xs, ys)
+            points = np.concatenate((box, under))
+            inside = k.contains(points[:, 0], points[:, 1])
+            assert inside.any() and not inside.all()
+            got = k.frontier_distance(points[:, 0], points[:, 1])
+            for (m, h), d in zip(points, got):
+                assert abs(d - polyline_distance(xs, ys, float(m), float(h))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, _DISTANCE_BLOCK - 1, _DISTANCE_BLOCK, _DISTANCE_BLOCK + 1, 2 * _DISTANCE_BLOCK + 1],
+    )
+    def test_sizes_around_the_block(self, medium_kernel, n):
+        rng = np.random.default_rng(n)
+        m, h = rng.uniform(0.0, 1.0, (2, n))
+        d = medium_kernel.frontier_distance(m, h)
+        assert d.shape == (n,)
+        for i in range(n):
+            assert d[i] == medium_kernel.frontier_distance(m[i], h[i])
+
+    @pytest.mark.parametrize(
+        "m_shape, h_shape",
+        [((), ()), ((), (5,)), ((3, 1), (4,)), ((9, 1), (8,)), ((), (2 * _DISTANCE_BLOCK + 1,))],
+    )
+    def test_broadcast_shapes(self, medium_kernel, m_shape, h_shape):
+        rng = np.random.default_rng(len(m_shape) + len(h_shape))
+        m, h = rng.uniform(0.0, 1.0, m_shape), rng.uniform(0.0, 1.0, h_shape)
+        d = medium_kernel.frontier_distance(m, h)
+        shape = np.broadcast_shapes(m_shape, h_shape)
+        assert np.shape(d) == shape
+        bm, bh = np.broadcast_arrays(m, h)
+        for i in np.ndindex(shape):
+            assert d[i] == medium_kernel.frontier_distance(float(bm[i]), float(bh[i]))
 
 
 class TestRegimeDiagram:

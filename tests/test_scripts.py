@@ -27,3 +27,5 @@ def test_script_runs(tmp_path, script, args, expect):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+    if script == "feedback_vs_constant.py":
+        assert proc.stdout.count(" wall_ms=") == 3  # one per policy
