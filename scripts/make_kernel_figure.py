@@ -7,10 +7,9 @@ Usage:
 """
 
 import argparse
-import csv
 from pathlib import Path
 
-from rossmac.cli import _write_kernel_svg
+from rossmac.cli import _write_frontier_csv, _write_kernel_svg
 from rossmac.kernel import build_kernel, regime_thresholds
 from rossmac.model import ModelRates
 
@@ -32,11 +31,7 @@ def main() -> None:
     desc = build_kernel(BASE_RATES, args.H_bar, step=args.step)
 
     csv_path = out / "frontier.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "Y"])
-        for m, y in zip(desc.frontier_m, desc.frontier_y):
-            writer.writerow([f"{m:.12g}", f"{y:.12g}"])
+    _write_frontier_csv(csv_path, desc.frontier_m, desc.frontier_y)
     _write_kernel_svg(out / "kernel.svg", desc)
 
     print(f"regime thresholds: low={lower:.6f} high={upper:.6f}")

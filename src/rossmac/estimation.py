@@ -9,8 +9,9 @@ exponential recovery at rate gamma.  The fit minimizes
 
 over theta = (alpha, p_h, p_m, xi, delta) inside box bounds, with the
 mosquito state initialized as m(0) = 3*h_hat_0.  Only the reduced rates
-A_m = alpha*p_m, A_h = alpha*p_h*xi and delta are identifiable, so those
-are the primary deliverable of a fit.
+A_m = alpha*p_m, A_h = alpha*p_h*xi and delta enter the dynamics, so only
+those are identifiable and they are the primary deliverable of a fit.  The
+forward sensitivities are taken in those rates; theta follows by the chain rule.
 """
 
 from __future__ import annotations
@@ -115,14 +116,27 @@ def _reduced_rates(theta: np.ndarray, gamma: float) -> ModelRates:
     return ModelRates(A_m=alpha * p_m, A_h=alpha * p_h * xi, gamma=gamma, u_min=delta, u_max=delta)
 
 
-def simulate_h(
-    theta,
-    h0: float,
-    t_eval: np.ndarray,
-    gamma: float = DEFAULT_GAMMA,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
+def _reduced_rates_jacobian(theta: np.ndarray) -> np.ndarray:
+    """The 3x5 derivative of (A_m, A_h, delta) in theta."""
+    alpha, p_h, p_m, xi, _ = theta
+    return np.array([[p_m, 0.0, alpha, 0.0, 0.0],
+                     [p_h * xi, alpha * xi, 0.0, alpha * p_h, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 1.0]])
+
+
+def _integrate(rhs, n_states: int, h0: float, t_eval: np.ndarray) -> np.ndarray:
+    """The states of z' = rhs(t, z) at t_eval, one row each, from
+    m(0) = 3*h0, h(0) = h0 and 0 for any further state."""
+    z0 = np.zeros(n_states)
+    z0[:2] = MOSQUITO_INIT_FACTOR * h0, h0
+    sol = solve_ivp(rhs, (0.0, float(t_eval[-1]) if t_eval[-1] > 0 else 1.0), z0,
+                    method="RK45", rtol=1e-10, atol=1e-12, dense_output=True)
+    if sol.status != 0:
+        raise RuntimeError(f"prevalence simulation failed: {sol.message}")
+    return sol.sol(t_eval)
+
+
+def simulate_h(theta, h0: float, t_eval: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Human prevalence h(t_j; theta) with m(0) = 3*h0."""
     rates = _reduced_rates(_theta_array(theta), gamma)
 
@@ -130,12 +144,7 @@ def simulate_h(
         m, h = z
         return [g_m(m, h, rates.u_max, rates), g_h(m, h, rates)]
 
-    z0 = [MOSQUITO_INIT_FACTOR * h0, h0]
-    sol = solve_ivp(rhs, (0.0, float(t_eval[-1]) if t_eval[-1] > 0 else 1.0), z0,
-                    method="RK45", rtol=rtol, atol=atol, dense_output=True)
-    if sol.status != 0:
-        raise RuntimeError(f"prevalence simulation failed: {sol.message}")
-    return sol.sol(t_eval)[1]
+    return _integrate(rhs, 2, h0, t_eval)[1]
 
 
 def _residuals(theta: np.ndarray, data: PrevalenceDataset, gamma: float) -> np.ndarray:
@@ -156,43 +165,22 @@ def objective(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> f
 
 
 def _sensitivity_system(theta: np.ndarray, h0: float, t_eval: np.ndarray, gamma: float):
-    """Integrate the state jointly with forward sensitivities dz/dtheta."""
-    alpha, p_h, p_m, xi, delta = theta
+    """h and dh/dtheta, shape (n_times, 5), at t_eval: (m, h) are integrated
+    with their sensitivities S to r = (A_m, A_h, delta), S' = Jz S + df/dr."""
     rates = _reduced_rates(theta, gamma)
+    A_m, A_h, delta = rates.A_m, rates.A_h, rates.u_max
 
     def rhs(t, w):
-        m, h = w[0], w[1]
-        S = w[2:].reshape(2, 5)
-        f = np.array([g_m(m, h, delta, rates), g_h(m, h, rates)])
-        Jz = np.array([
-            [-alpha * p_m * h - delta, alpha * p_m * (1.0 - m)],
-            [alpha * p_h * xi * (1.0 - h), -alpha * p_h * xi * m - gamma],
-        ])
-        Jt = np.array([
-            [p_m * h * (1.0 - m), 0.0, alpha * h * (1.0 - m), 0.0, -m],
-            [p_h * xi * m * (1.0 - h), alpha * xi * m * (1.0 - h), 0.0,
-             alpha * p_h * m * (1.0 - h), 0.0],
-        ])
-        dS = Jz @ S + Jt
-        return np.concatenate((f, dS.ravel()))
+        # w = (m, h, dm/dA_m, dm/dA_h, dm/ddelta, dh/dA_m, dh/dA_h, dh/ddelta)
+        m, h, m1, m2, m3, h1, h2, h3 = w.tolist()
+        mm, mh = -A_m * h - delta, A_m * (1.0 - m)   # Jz: d g_m / d(m, h)
+        hm, hh = A_h * (1.0 - h), -A_h * m - gamma   # Jz: d g_h / d(m, h)
+        return [g_m(m, h, delta, rates), g_h(m, h, rates),
+                mm * m1 + mh * h1 + h * (1.0 - m), mm * m2 + mh * h2, mm * m3 + mh * h3 - m,
+                hm * m1 + hh * h1, hm * m2 + hh * h2 + m * (1.0 - h), hm * m3 + hh * h3]
 
-    w0 = np.zeros(12)
-    w0[0] = MOSQUITO_INIT_FACTOR * h0
-    w0[1] = h0
-    sol = solve_ivp(rhs, (0.0, float(t_eval[-1]) if t_eval[-1] > 0 else 1.0), w0,
-                    method="RK45", rtol=1e-10, atol=1e-12, dense_output=True)
-    if sol.status != 0:
-        raise RuntimeError(f"sensitivity integration failed: {sol.message}")
-    w = sol.sol(t_eval)
-    h = w[1]
-    dh_dtheta = w[2:].reshape(2, 5, t_eval.size)[1]
-    return h, dh_dtheta.T  # (n_times, 5)
-
-
-def _residual_jacobian(theta: np.ndarray, data: PrevalenceDataset, gamma: float) -> np.ndarray:
-    t = data.days.astype(float)
-    _, J = _sensitivity_system(theta, float(data.h_hat[0]), t, gamma)
-    return J[1:]
+    w = _integrate(rhs, 8, h0, t_eval)
+    return w[1], w[5:].T @ _reduced_rates_jacobian(theta)
 
 
 def objective_gradient(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
@@ -242,7 +230,8 @@ def fit(
         return _residuals(pack(x), data, gamma)
 
     def jac(x):
-        return _residual_jacobian(pack(x), data, gamma)[:, free]
+        t = data.days.astype(float)
+        return _sensitivity_system(pack(x), float(data.h_hat[0]), t, gamma)[1][1:, free]
 
     sol = least_squares(
         res,

@@ -11,6 +11,7 @@ from rossmac.estimation import (
     IncidenceSeries,
     MalformedCSVError,
     PrevalenceDataset,
+    _sensitivity_system,
     fit,
     generate_synthetic_incidence,
     incidence_to_prevalence,
@@ -112,6 +113,26 @@ class TestGradient:
     def test_zero_window_gradient(self):
         data = PrevalenceDataset(days=np.array([0]), h_hat=np.array([0.01]))
         assert np.all(objective_gradient(THETA_TRUE, data) == 0.0)
+
+
+class TestJacobian:
+    def test_rank_three_with_the_identifiability_orbits_as_null_space(self):
+        # h depends on theta only through (A_m, A_h, delta), so dh/dtheta
+        # annihilates the tangents of the orbits that keep those rates fixed:
+        # (c*alpha, p_h/c, p_m/c, xi, delta) and (alpha, p_h/c, p_m, c*xi, delta).
+        lb = np.array([b[0] for b in DEFAULT_BOUNDS])
+        ub = np.array([b[1] for b in DEFAULT_BOUNDS])
+        rng = np.random.default_rng(7)
+        box = [lb + rng.uniform(0.05, 0.95, size=5) * (ub - lb) for _ in range(3)]
+        t = np.arange(61, dtype=float)
+        for theta in [THETA_TRUE, np.array(DEFAULT_THETA0), *box]:
+            _, J = _sensitivity_system(theta, 1e-3, t, 0.1)
+            alpha, p_h, p_m, xi, _ = theta
+            scale = np.max(np.abs(J))
+            for tangent in ([alpha, -p_h, -p_m, 0.0, 0.0], [0.0, -p_h, 0.0, xi, 0.0]):
+                assert np.max(np.abs(J @ np.array(tangent))) <= 1e-12 * scale
+            sv = np.linalg.svd(J[1:], compute_uv=False)
+            assert sv[2] >= 1e-6 * sv[0]
 
 
 class TestFit:
