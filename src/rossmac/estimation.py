@@ -12,6 +12,9 @@ mosquito state initialized as m(0) = 3*h_hat_0.  Only the reduced rates
 A_m = alpha*p_m, A_h = alpha*p_h*xi and delta enter the dynamics, so only
 those are identifiable and they are the primary deliverable of a fit.  The
 forward sensitivities are taken in those rates; theta follows by the chain rule.
+Every trajectory is integrated with DOP853 at rtol=1e-10, atol=1e-12, and the
+fit makes one sensitivity solve per trust-region point: its residuals and
+Jacobian both read the same 8-state solution.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def _integrate(rhs, n_states: int, h0: float, t_eval: np.ndarray) -> np.ndarray:
     z0 = np.zeros(n_states)
     z0[:2] = MOSQUITO_INIT_FACTOR * h0, h0
     sol = solve_ivp(rhs, (0.0, float(t_eval[-1]) if t_eval[-1] > 0 else 1.0), z0,
-                    method="RK45", rtol=1e-10, atol=1e-12, dense_output=True)
+                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
     if sol.status != 0:
         raise RuntimeError(f"prevalence simulation failed: {sol.message}")
     return sol.sol(t_eval)
@@ -226,12 +229,24 @@ def fit(
         theta = pack(th0[free])
         return _make_result(theta, objective(theta, data, gamma), 0, True, gamma)
 
+    t = data.days.astype(float)
+    h0 = float(data.h_hat[0])
+    # TRF asks for res and then jac at (nearly) every point it visits, so both
+    # read one sensitivity solve, remembered for the last x only.
+    last = {}
+
+    def solve(x):
+        key = x.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _sensitivity_system(pack(x), h0, t, gamma)
+        return last[key]
+
     def res(x):
-        return _residuals(pack(x), data, gamma)
+        return solve(x)[0][1:] - data.h_hat[1:]
 
     def jac(x):
-        t = data.days.astype(float)
-        return _sensitivity_system(pack(x), float(data.h_hat[0]), t, gamma)[1][1:, free]
+        return solve(x)[1][1:, free]
 
     sol = least_squares(
         res,

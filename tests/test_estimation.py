@@ -3,7 +3,9 @@ constrained fit."""
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from rossmac import estimation
 from rossmac.estimation import (
     CALI_2013_ESTIMATE,
     DEFAULT_BOUNDS,
@@ -11,6 +13,7 @@ from rossmac.estimation import (
     IncidenceSeries,
     MalformedCSVError,
     PrevalenceDataset,
+    _reduced_rates,
     _sensitivity_system,
     fit,
     generate_synthetic_incidence,
@@ -22,6 +25,7 @@ from rossmac.estimation import (
     simulate_h,
     write_prevalence_csv,
 )
+from rossmac.model import g_h, g_m
 
 THETA_TRUE = np.array([0.3365, 0.2287, 0.1532, 1.0359, 0.0333])
 
@@ -60,6 +64,21 @@ class TestIncidenceToPrevalence:
         with pytest.raises(ValueError):
             IncidenceSeries(days=np.arange(3), new_cases=np.array([1.0, -2.0, 0.0]),
                             population=10)
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("theta", [THETA_TRUE, np.array(DEFAULT_THETA0)])
+    def test_matches_tight_reference(self, theta):
+        # The library integrates at rtol=1e-10, atol=1e-12; the reference is
+        # DOP853 at rtol=1e-13, atol=1e-15.  DEFAULT_THETA0 drives h up to
+        # 0.82, where a 1e-10 relative tolerance alone allows more than 1e-11,
+        # hence the relative term.
+        rates = _reduced_rates(theta, 0.1)
+        t = np.arange(61, dtype=float)
+        ref = solve_ivp(lambda s, z: [g_m(z[0], z[1], rates.u_max, rates), g_h(z[0], z[1], rates)],
+                        (0.0, 60.0), [3e-3, 1e-3], method="DOP853", rtol=1e-13, atol=1e-15,
+                        t_eval=t).y[1]
+        np.testing.assert_allclose(simulate_h(theta, 1e-3, t), ref, rtol=1e-9, atol=1e-11)
 
 
 class TestObjective:
@@ -176,6 +195,39 @@ class TestFit:
         assert result.theta_hat.p_h == THETA_TRUE[1]
         assert result.theta_hat.xi == THETA_TRUE[3]
         assert result.objective_value < 1e-10
+
+    def test_one_sensitivity_solve_per_trf_point(self, monkeypatch):
+        # Residuals and Jacobian at one point share a single 8-state solve,
+        # and no 2-state solve runs.
+        solves, points = [], []
+        integrate, sensitivity = estimation._integrate, estimation._sensitivity_system
+
+        def counting_integrate(rhs, n_states, *args):
+            solves.append(n_states)
+            return integrate(rhs, n_states, *args)
+
+        def counting_sensitivity(theta, *args):
+            points.append(theta.tobytes())
+            return sensitivity(theta, *args)
+
+        data = make_dataset()
+        monkeypatch.setattr(estimation, "_integrate", counting_integrate)
+        monkeypatch.setattr(estimation, "_sensitivity_system", counting_sensitivity)
+        result = fit(data)
+        assert result.converged
+        assert solves == [8] * result.iterations
+        assert len(points) == len(set(points)) == result.iterations
+
+    def test_results_do_not_depend_on_earlier_fits(self):
+        # The two sets differ in h0 and window, so a solve at one theta is
+        # wrong for the other; a memo kept across fits would show.
+        sets = {"a": make_dataset(days=30),
+                "b": make_dataset(theta=THETA_TRUE * np.array([1.1, 0.9, 1.0, 1.05, 1.0]), h0=2e-3)}
+        fresh = {name: fit(data) for name, data in sets.items()}
+        for name, other in (("a", "b"), ("b", "a"), ("a", "b")):
+            # stopped after one evaluation, at theta0, where the next fit starts
+            fit(sets[other], max_nfev=1)
+            assert fit(sets[name]) == fresh[name]
 
     def test_rejects_start_outside_bounds(self):
         data = make_dataset(days=10)

@@ -36,6 +36,8 @@ def test_script_runs(tmp_path, script, args, expect):
     assert expect in stdout
     if script == "feedback_vs_constant.py":
         assert stdout.count(" wall_ms=") == 3  # one per policy
+    if script == "fit_synthetic_outbreak.py":
+        assert stdout.count(" wall_ms=") == 1
 
 
 def test_kernel_figure_csv_matches_boundary(tmp_path, capsys):
