@@ -6,11 +6,12 @@ individual keys can be overridden on the command line with repeated
 `key=value` lines, diagnostics to stderr, and CSV/SVG artifacts to the
 output directory.
 
-Exit codes: 0 success, 2 invalid configuration (a diagram grid with a
-cell outside the model's ranges included, in which case no CSV is
-written), 3 boundary requested outside the medium regime, 4 feedback
-policy outside the medium regime, 5 malformed incidence CSV, 1 any other
-runtime failure.
+Exit codes: 0 success, 2 invalid configuration (H_bar outside (0, 1),
+step <= 0 on a medium cap, fit_days or population not a positive integer,
+gamma <= 0 for fit, or a diagram grid with a cell outside the model's
+ranges, in which case no CSV is written), 3 boundary requested outside
+the medium regime, 4 feedback policy outside the medium regime, 5
+malformed incidence CSV, 1 any other runtime failure.
 """
 
 from __future__ import annotations
@@ -174,21 +175,22 @@ def _write_kernel_svg(path: Path, desc) -> None:
     path.write_text(svg)
 
 
+def _kernel_from_config(cfg: dict[str, str], args, rates: ModelRates):
+    """The one kernel request of `boundary` and feedback `simulate`."""
+    try:
+        return build_kernel(rates, _get_float(cfg, "H_bar"), step=_get_float(cfg, "step", 1e-3),
+                            **_tolerances(cfg, args.tol))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_boundary(cfg: dict[str, str], args) -> int:
-    rates = rates_from_config(cfg)
-    H_bar = _get_float(cfg, "H_bar")
-    step = _get_float(cfg, "step", 1e-3)
-    tols = _tolerances(cfg, args.tol)
-    regime = classify_regime(rates, H_bar)
-    if regime is not Regime.MEDIUM:
-        print(
-            f"regime {regime.value}: the kernel is "
-            + ("the origin only" if regime is Regime.LOW else "the whole constraint box")
-            + "; no frontier curve to compute",
-            file=sys.stderr,
-        )
+    desc = _kernel_from_config(cfg, args, rates_from_config(cfg))
+    if desc.regime is not Regime.MEDIUM:
+        kernel = "the origin only" if desc.regime is Regime.LOW else "the whole constraint box"
+        print(f"regime {desc.regime.value}: the kernel is {kernel}; no frontier curve to compute",
+              file=sys.stderr)
         return EXIT_NOT_MEDIUM_BOUNDARY
-    desc = build_kernel(rates, H_bar, step=step, **tols)
     out = _out_dir(cfg, args.out)
     csv_path = out / "frontier.csv"
     _write_frontier_csv(csv_path, desc.frontier_m, desc.frontier_y)
@@ -202,7 +204,7 @@ def cmd_boundary(cfg: dict[str, str], args) -> int:
     return 0
 
 
-def _policy_from_config(cfg, rates, H_bar, step, tols):
+def _policy_from_config(cfg, args, rates):
     kind = cfg.get("policy", "constant").lower()
     if kind == "constant":
         return ConstantControl(_get_float(cfg, "u", rates.u_max))
@@ -219,10 +221,11 @@ def _policy_from_config(cfg, rates, H_bar, step, tols):
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"invalid value for key schedule: {spec!r}") from exc
     if kind == "feedback":
-        regime = classify_regime(rates, H_bar)
-        if regime is not Regime.MEDIUM:
+        desc = _kernel_from_config(cfg, args, rates)
+        if desc.regime is not Regime.MEDIUM:
+            print(f"feedback policy requires the medium regime (regime is {desc.regime.value})",
+                  file=sys.stderr)
             return None  # caller maps this to the feedback exit code
-        desc = build_kernel(rates, H_bar, step=step, **tols)
         return SaturatingFeedback(desc, rates.u_min, rates.u_max)
     raise ConfigError(f"invalid value for key policy: {kind!r}")
 
@@ -230,24 +233,19 @@ def _policy_from_config(cfg, rates, H_bar, step, tols):
 def cmd_simulate(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
     H_bar = _get_float(cfg, "H_bar")
-    tols = _tolerances(cfg, args.tol)
+    if not 0.0 < H_bar < 1.0:
+        raise ConfigError(f"H_bar must lie in (0, 1), got {H_bar!r}")
     try:
         initial = State(m=_get_float(cfg, "m0"), h=_get_float(cfg, "h0"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     horizon = _get_float(cfg, "horizon")
     dt_out = _get_float(cfg, "dt_out", 0.1)
-    step = _get_float(cfg, "step", 1e-3)
-    policy = _policy_from_config(cfg, rates, H_bar, step, tols)
+    policy = _policy_from_config(cfg, args, rates)
     if policy is None:
-        print(
-            "feedback policy requires the medium regime "
-            f"(regime is {classify_regime(rates, H_bar).value})",
-            file=sys.stderr,
-        )
         return EXIT_NOT_MEDIUM_FEEDBACK
     try:
-        traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **tols)
+        traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **_tolerances(cfg, args.tol))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _out_dir(cfg, args.out)
@@ -278,14 +276,10 @@ def cmd_diagram(cfg: dict[str, str], args) -> int:
         missing = "u_grid" if "u_grid" not in cfg else "H_grid"
         raise ConfigError(f"missing required key: {missing}")
     try:
-        u_grid = _parse_grid(cfg["u_grid"])
-        H_grid = _parse_grid(cfg["H_grid"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid specification: {exc}") from exc
-    try:
+        u_grid, H_grid = _parse_grid(cfg["u_grid"]), _parse_grid(cfg["H_grid"])
         grid = regime_diagram(rates, u_grid, H_grid)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"invalid grid: {exc}") from exc
     out = _out_dir(cfg, args.out)
     csv_path = out / "diagram.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -301,19 +295,21 @@ def cmd_diagram(cfg: dict[str, str], args) -> int:
 def cmd_fit(cfg: dict[str, str], args) -> int:
     if "incidence" not in cfg:
         raise ConfigError("missing required key: incidence")
-    population = int(_get_float(cfg, "population"))
+    population = _get_float(cfg, "population")
     gamma = _get_float(cfg, "gamma", estimation.DEFAULT_GAMMA)
-    window = int(_get_float(cfg, "fit_days", estimation.FIT_WINDOW_DAYS))
+    window = _get_float(cfg, "fit_days", estimation.FIT_WINDOW_DAYS)
+    for key, value in (("population", population), ("gamma", gamma), ("fit_days", window)):
+        if not value > 0.0 or (key != "gamma" and not float(value).is_integer()):
+            kind = "number" if key == "gamma" else "integer"
+            raise ConfigError(f"{key} must be a positive {kind}, got {value!r}")
     try:
-        series = estimation.read_incidence_csv(cfg["incidence"], population)
+        series = estimation.read_incidence_csv(cfg["incidence"], int(population))
     except (OSError, MalformedCSVError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_CSV
     data = estimation.incidence_to_prevalence(series, gamma=gamma)
-    if data.days.size > window + 1:
-        data = estimation.PrevalenceDataset(
-            days=data.days[: window + 1], h_hat=data.h_hat[: window + 1]
-        )
+    head = slice(int(window) + 1)
+    data = estimation.PrevalenceDataset(days=data.days[head], h_hat=data.h_hat[head])
     result = estimation.fit(data, gamma=gamma)
     out = _out_dir(cfg, args.out)
 

@@ -60,6 +60,23 @@ def regime_thresholds(rates: ModelRates, u_max: float | None = None) -> tuple[fl
     return lower, upper
 
 
+_REGIMES = (Regime.MEDIUM, Regime.LOW, Regime.HIGH)
+
+
+def _regime_code(lower, upper, H):
+    """The regime rule as an index into _REGIMES, on floats or broadcast
+    arrays alike.  As lower <= upper, high and low never overlap."""
+    return 2 * (H >= upper) + ((lower > 0.0) & (H < lower))
+
+
+def _classify(rates: ModelRates, H_bar: float) -> tuple[Regime, float]:
+    """Regime of one cap, with the lower threshold it was read from."""
+    if not 0.0 < H_bar < 1.0:
+        raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
+    lower, upper = regime_thresholds(rates)
+    return _REGIMES[_regime_code(lower, upper, H_bar)], lower
+
+
 def classify_regime(rates: ModelRates, H_bar: float) -> Regime:
     """Classify the viability-kernel regime for cap H_bar.
 
@@ -69,21 +86,14 @@ def classify_regime(rates: ModelRates, H_bar: float) -> Regime:
     upper threshold are classified medium (callers can flag them via
     outside_proven_hypotheses).
     """
-    if not 0.0 < H_bar < 1.0:
-        raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
-    lower, upper = regime_thresholds(rates)
-    if H_bar >= upper:
-        return Regime.HIGH
-    if lower > 0.0 and H_bar < lower:
-        return Regime.LOW
-    return Regime.MEDIUM
+    return _classify(rates, H_bar)[0]
 
 
 def outside_proven_hypotheses(rates: ModelRates, H_bar: float) -> bool:
     """True when the medium classification falls outside the positivity
     hypothesis on the lower threshold."""
-    lower, upper = regime_thresholds(rates)
-    return classify_regime(rates, H_bar) is Regime.MEDIUM and lower <= 0.0
+    regime, lower = _classify(rates, H_bar)
+    return regime is Regime.MEDIUM and lower <= 0.0
 
 
 def m_bar(rates: ModelRates, H_bar: float) -> float:
@@ -292,7 +302,7 @@ def build_kernel(
     atol: float = 1e-12,
 ) -> KernelDescription:
     """Classify the regime and, for medium caps, compute the frontier."""
-    regime = classify_regime(rates, H_bar)
+    regime, lower = _classify(rates, H_bar)
     if regime is not Regime.MEDIUM:
         return KernelDescription(regime=regime, H_bar=H_bar)
     m_inf, fm, fy = boundary_curve(rates, H_bar, step=step, rtol=rtol, atol=atol)
@@ -303,7 +313,7 @@ def build_kernel(
         M_inf=m_inf,
         frontier_m=fm,
         frontier_y=fy,
-        outside_proven_hypotheses=outside_proven_hypotheses(rates, H_bar),
+        outside_proven_hypotheses=lower <= 0.0,
     )
 
 
@@ -329,21 +339,12 @@ def regime_diagram(
     H_grid,
 ) -> list[list[Regime]]:
     """Regime per (u_max, H_bar) grid cell, row-major over H then u."""
-    u_grid = list(u_grid)
-    H_grid = list(H_grid)
-    if not u_grid or not H_grid:
+    u, H = np.fromiter(u_grid, float), np.fromiter(H_grid, float)
+    if u.size == 0 or H.size == 0:
         raise ValueError("grids must be nonempty")
-    out = []
-    for H in H_grid:
-        row = []
-        for u in u_grid:
-            cell_rates = ModelRates(
-                A_m=rates_base.A_m,
-                A_h=rates_base.A_h,
-                gamma=rates_base.gamma,
-                u_min=min(rates_base.u_min, u),
-                u_max=u,
-            )
-            row.append(classify_regime(cell_rates, H))
-        out.append(row)
-    return out
+    if not np.all((H > 0.0) & (H < 1.0)):
+        raise ValueError("every H_bar of the grid must lie in (0, 1)")
+    if not np.all(np.isfinite(u) & (u >= 0.0)):
+        raise ValueError("every u_max of the grid must be finite and nonnegative")
+    lower, upper = regime_thresholds(rates_base, u)
+    return np.array(_REGIMES, dtype=object)[_regime_code(lower, upper, H[:, None])].tolist()

@@ -132,6 +132,14 @@ class TestBoundary:
         assert orbit.edge == "m=1" and m_end == 1.0
         assert abs(y_end - orbit.h) < 2e-9
 
+    @pytest.mark.parametrize("key, value", [("H_bar", "1.5"), ("H_bar", "0"), ("step", "0"),
+                                            ("step", "-1e-3")])
+    def test_bad_cap_or_step_exits_2(self, tmp_path, capsys, key, value):
+        code, _, err = run("boundary", tmp_path, {**MEDIUM, key: value}, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert key in err
+        assert not (tmp_path / "frontier.csv").exists()
+
     def test_non_medium_exits_3(self, tmp_path, capsys):
         code, _, err = run("boundary", tmp_path, {**MEDIUM, "H_bar": "0.9"}, capsys)
         assert code == cli.EXIT_NOT_MEDIUM_BOUNDARY
@@ -174,6 +182,22 @@ class TestSimulate:
                            {**self.BASE, "policy": "feedback", "H_bar": "0.9"}, capsys)
         assert code == cli.EXIT_NOT_MEDIUM_FEEDBACK
         assert "medium" in err
+
+    @pytest.mark.parametrize("policy", ["constant", "piecewise", "feedback"])
+    @pytest.mark.parametrize("H_bar", ["2", "0", "nan"])
+    def test_cap_outside_unit_interval_exits_2(self, tmp_path, capsys, policy, H_bar):
+        cfg = {**self.BASE, "policy": policy, "schedule": "0:0.01", "H_bar": H_bar}
+        code, _, err = run("simulate", tmp_path, cfg, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "H_bar" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("step", ["0", "-1e-3"])
+    def test_feedback_bad_step_exits_2(self, tmp_path, capsys, step):
+        cfg = {**self.BASE, "policy": "feedback", "step": step}
+        code, _, err = run("simulate", tmp_path, cfg, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "step" in err
 
     def test_piecewise_schedule(self, tmp_path, capsys):
         code, out, _ = run("simulate", tmp_path,
@@ -275,6 +299,18 @@ class TestFit:
         rows = (tmp_path / "fit_curve.csv").read_text().splitlines()
         assert rows[0] == "day,h_hat,h_model"
         assert len(rows) == 62  # day 0..60 plus header
+
+    @pytest.mark.parametrize("key, value", [
+        ("fit_days", "0"), ("fit_days", "-3"), ("fit_days", "2.5"),
+        ("population", "0"), ("population", "-5"), ("gamma", "0"),
+    ])
+    def test_bad_setting_exits_2_naming_the_key(self, tmp_path, capsys, incidence_csv,
+                                                 key, value):
+        cfg = {"incidence": str(incidence_csv), "population": "2400000", key: value}
+        code, _, err = run("fit", tmp_path, cfg, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert key in err and str(incidence_csv) not in err
+        assert not (tmp_path / "fit_report.txt").exists()
 
     def test_missing_csv_exits_5(self, tmp_path, capsys):
         cfg = {"incidence": str(tmp_path / "nope.csv"), "population": "1000"}

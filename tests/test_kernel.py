@@ -366,14 +366,28 @@ class TestRegimeDiagram:
             regime_diagram(MEDIUM_RATES, u_grid=[], H_grid=[0.5])
 
     def test_matches_sequential_classification(self):
-        u_grid = list(np.linspace(0.0, 0.1, 7))
-        H_grid = list(np.linspace(0.05, 0.95, 9))
-        grid = regime_diagram(MEDIUM_RATES, u_grid, H_grid)
+        r = MEDIUM_RATES
+        upper = regime_thresholds(r)[1]
+        u_zero_lower = r.A_h * r.A_m / r.gamma  # lower = 0 up to rounding
+        # Ties: H at upper, H at the lower threshold of grid u = 0.03733,
+        # u = 0 (lower = upper), lower <= 0, and u below r.u_min.
+        u_grid = [*np.linspace(0.0, 0.1, 7), 0.03733, u_zero_lower, 0.2, r.u_min / 2]
+        H_grid = [*np.linspace(0.05, 0.95, 9), upper, regime_thresholds(r, 0.03733)[0]]
+        grid = regime_diagram(r, u_grid, H_grid)
         for i, H in enumerate(H_grid):
             for j, u in enumerate(u_grid):
-                cell = ModelRates(A_m=MEDIUM_RATES.A_m, A_h=MEDIUM_RATES.A_h,
-                                  gamma=MEDIUM_RATES.gamma, u_min=0.0, u_max=u)
+                cell = ModelRates(A_m=r.A_m, A_h=r.A_h, gamma=r.gamma, u_min=0.0, u_max=u)
                 assert grid[i][j] is classify_regime(cell, H)
+        assert all(cell is Regime.HIGH for cell in grid[-2])
+        assert grid[-1][7] is Regime.MEDIUM and grid[-1][0] is Regime.LOW
+        assert regime_diagram(r, np.array(u_grid), np.array(H_grid)) == grid
+        assert regime_diagram(r, iter(u_grid), (H for H in H_grid)) == grid
+        for u_bad in (-0.01, math.nan):
+            with pytest.raises(ValueError):
+                regime_diagram(r, [0.02, u_bad], [0.5])
+        for H_bad in (0.0, 1.0):
+            with pytest.raises(ValueError, match="H_bar"):
+                regime_diagram(r, [0.02], [0.5, H_bad])
 
 
 class TestViabilityDomainProperties:
