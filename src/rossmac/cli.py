@@ -8,10 +8,11 @@ output directory.
 
 Exit codes: 0 success, 2 invalid configuration (H_bar outside (0, 1),
 step <= 0 on a medium cap, fit_days or population not a positive integer,
-gamma <= 0 for fit, or a diagram grid with a cell outside the model's
-ranges, in which case no CSV is written), 3 boundary requested outside
-the medium regime, 4 feedback policy outside the medium regime, 5
-malformed incidence CSV, 1 any other runtime failure.
+gamma outside (0, 1] for fit, or a diagram grid with a cell outside the
+model's ranges, in which case no CSV is written), 3 boundary requested
+outside the medium regime, 4 feedback policy outside the medium regime, 5
+malformed incidence CSV or one of fewer than two days, 1 any other
+runtime failure.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rossmac import estimation
-from rossmac.estimation import MalformedCSVError
+# trajectory and estimation import scipy, which takes most of a second; only
+# the commands that integrate import them, so classify and diagram need numpy only.
 from rossmac.kernel import (
     Regime,
     build_kernel,
@@ -35,13 +36,6 @@ from rossmac.kernel import (
     regime_thresholds,
 )
 from rossmac.model import EpiParams, ModelRates, State, derive_rates
-from rossmac.trajectory import (
-    ConstantControl,
-    PiecewiseConstantControl,
-    SaturatingFeedback,
-    audit_viability,
-    simulate,
-)
 
 EXIT_BAD_CONFIG = 2
 EXIT_NOT_MEDIUM_BOUNDARY = 3
@@ -205,6 +199,8 @@ def cmd_boundary(cfg: dict[str, str], args) -> int:
 
 
 def _policy_from_config(cfg, args, rates):
+    from rossmac.trajectory import ConstantControl, PiecewiseConstantControl, SaturatingFeedback
+
     kind = cfg.get("policy", "constant").lower()
     if kind == "constant":
         return ConstantControl(_get_float(cfg, "u", rates.u_max))
@@ -231,6 +227,8 @@ def _policy_from_config(cfg, args, rates):
 
 
 def cmd_simulate(cfg: dict[str, str], args) -> int:
+    from rossmac.trajectory import audit_viability, simulate
+
     rates = rates_from_config(cfg)
     H_bar = _get_float(cfg, "H_bar")
     if not 0.0 < H_bar < 1.0:
@@ -293,24 +291,31 @@ def cmd_diagram(cfg: dict[str, str], args) -> int:
 
 
 def cmd_fit(cfg: dict[str, str], args) -> int:
+    from rossmac import estimation
+
     if "incidence" not in cfg:
         raise ConfigError("missing required key: incidence")
     population = _get_float(cfg, "population")
     gamma = _get_float(cfg, "gamma", estimation.DEFAULT_GAMMA)
     window = _get_float(cfg, "fit_days", estimation.FIT_WINDOW_DAYS)
-    for key, value in (("population", population), ("gamma", gamma), ("fit_days", window)):
-        if not value > 0.0 or (key != "gamma" and not float(value).is_integer()):
-            kind = "number" if key == "gamma" else "integer"
-            raise ConfigError(f"{key} must be a positive {kind}, got {value!r}")
+    for key, value in (("population", population), ("fit_days", window)):
+        if not value > 0.0 or not float(value).is_integer():
+            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    if not 0.0 < gamma <= 1.0:
+        raise ConfigError(f"gamma must lie in (0, 1], got {gamma!r}")
     try:
         series = estimation.read_incidence_csv(cfg["incidence"], int(population))
-    except (OSError, MalformedCSVError) as exc:
+    except (OSError, estimation.MalformedCSVError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_CSV
     data = estimation.incidence_to_prevalence(series, gamma=gamma)
     head = slice(int(window) + 1)
     data = estimation.PrevalenceDataset(days=data.days[head], h_hat=data.h_hat[head])
-    result = estimation.fit(data, gamma=gamma)
+    try:
+        result = estimation.fit(data, gamma=gamma)
+    except ValueError as exc:
+        print(f"{cfg['incidence']}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CSV
     out = _out_dir(cfg, args.out)
 
     h_model = estimation.simulate_h(

@@ -94,8 +94,9 @@ class FitResult:
 
 def incidence_to_prevalence(series: IncidenceSeries, gamma: float = DEFAULT_GAMMA) -> PrevalenceDataset:
     """Accumulate new cases into prevalence with geometric recovery."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    # gamma > 1 would make P*(1 - gamma) negative.
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     prevalence = np.empty(series.days.size)
     running = float(series.new_cases[0])
     prevalence[0] = running
@@ -208,13 +209,15 @@ def fit(
 
     Uses a trust-region reflective solver with the sensitivity-based
     residual Jacobian; non-convergence is reported on the `converged`
-    flag, never raised.
+    flag, never raised.  Data of fewer than two days raise ValueError.
     """
     th0 = _theta_array(theta0)
     lb = np.array([b[0] for b in bounds], dtype=float)
     ub = np.array([b[1] for b in bounds], dtype=float)
     if np.any(th0 < lb) or np.any(th0 > ub):
         raise ValueError("theta0 must lie within the bounds")
+    if data.days.size < 2:
+        raise ValueError(f"a fit needs at least two days of data, got {data.days.size}")
 
     free = lb < ub
 
@@ -223,9 +226,9 @@ def fit(
         th[free] = x
         return th
 
-    if data.days.size < 2 or not np.any(free) or not np.any(data.h_hat):
-        # Nothing to optimize: empty window, point bounds, or an all-zero
-        # series whose initial state is the disease-free equilibrium.
+    if not np.any(free) or not np.any(data.h_hat):
+        # Nothing to optimize: point bounds, or an all-zero series whose
+        # initial state is the disease-free equilibrium.
         theta = pack(th0[free])
         return _make_result(theta, objective(theta, data, gamma), 0, True, gamma)
 
@@ -341,6 +344,8 @@ def _read_day_csv(path, column: str) -> tuple[np.ndarray, np.ndarray]:
 
 def read_incidence_csv(path, population: int) -> IncidenceSeries:
     """Read a `day,new_cases` CSV into an incidence series."""
+    if population <= 0:
+        raise ValueError(f"population must be positive, got {population!r}")
     days, cases = _read_day_csv(path, "new_cases")
     try:
         return IncidenceSeries(days=days, new_cases=cases, population=population)

@@ -20,7 +20,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from rossmac.model import ModelRates, State, g_h, g_m
 
@@ -216,6 +215,8 @@ def boundary_curve(
     Returns (M_inf, m_samples, y_samples): samples at M_bar + k*step, with
     a last grid point crowding M_inf dropped, followed by M_inf itself.
     """
+    from scipy.integrate import solve_ivp  # here, so that importing this module needs no scipy
+
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     mb = m_bar(rates, H_bar)

@@ -1,5 +1,11 @@
 """End-to-end tests of the command-line front end via `cli.main`."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -303,6 +309,7 @@ class TestFit:
     @pytest.mark.parametrize("key, value", [
         ("fit_days", "0"), ("fit_days", "-3"), ("fit_days", "2.5"),
         ("population", "0"), ("population", "-5"), ("gamma", "0"),
+        ("gamma", "1.5"), ("gamma", "inf"),
     ])
     def test_bad_setting_exits_2_naming_the_key(self, tmp_path, capsys, incidence_csv,
                                                  key, value):
@@ -316,6 +323,15 @@ class TestFit:
         cfg = {"incidence": str(tmp_path / "nope.csv"), "population": "1000"}
         code, _, _ = run("fit", tmp_path, cfg, capsys)
         assert code == cli.EXIT_BAD_CSV
+
+    def test_one_day_csv_exits_5_naming_it(self, tmp_path, capsys):
+        one_day = tmp_path / "one_day.csv"
+        one_day.write_text("day,new_cases\n0,5\n")
+        code, out, err = run("fit", tmp_path, {"incidence": str(one_day), "population": "1000"},
+                             capsys)
+        assert code == cli.EXIT_BAD_CSV
+        assert str(one_day) in err and "got 1" in err
+        assert "converged" not in out
 
     def test_malformed_csv_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -349,3 +365,20 @@ class TestConfigHandling:
         code, _, err = run("classify", tmp_path, {**MEDIUM, "gamma": "fast"}, capsys)
         assert code == cli.EXIT_BAD_CONFIG
         assert "gamma" in err
+
+
+def test_classify_and_diagram_load_no_scipy(tmp_path):
+    """The closed-form commands, run in a fresh process, never import scipy."""
+    sets = [f"--set={k}={v}" for k, v in MEDIUM.items()]
+    runs = [["classify", *sets],
+            ["diagram", "--out", str(tmp_path), *sets, "--set=u_grid=0:0.1:3", "--set=H_grid=0.2,0.6"]]
+    script = ("import json, sys, rossmac, rossmac.cli\n"
+              f"codes = [rossmac.cli.main(argv) for argv in {runs!r}]\n"
+              "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
+    assert (tmp_path / "diagram.csv").exists()

@@ -56,6 +56,13 @@ class TestIncidenceToPrevalence:
         p = incidence_to_prevalence(s, gamma=gamma)
         assert p.h_hat[-1] * 10_000 == pytest.approx(c / gamma, rel=1e-10)
 
+    @pytest.mark.parametrize("gamma", [1.5, np.inf])
+    def test_rejects_gamma_above_one(self, gamma):
+        s = IncidenceSeries(days=np.arange(3), new_cases=np.array([0.0, 5.0, 1.0]),
+                            population=1000)
+        with pytest.raises(ValueError, match="gamma"):
+            incidence_to_prevalence(s, gamma=gamma)
+
     def test_rejects_gap_in_days(self):
         with pytest.raises(ValueError):
             IncidenceSeries(days=np.array([0, 1, 3]), new_cases=np.zeros(3), population=10)
@@ -173,6 +180,11 @@ class TestFit:
         assert result.objective_value == 0.0
         assert result.converged
 
+    def test_rejects_fewer_than_two_days(self):
+        data = PrevalenceDataset(days=np.array([0]), h_hat=np.array([0.01]))
+        with pytest.raises(ValueError, match="got 1"):
+            fit(data)
+
     def test_point_bounds_pin_parameters(self):
         data = make_dataset(days=20)
         bounds = tuple((v, v) for v in THETA_TRUE)
@@ -274,6 +286,14 @@ class TestCSV:
         back = read_prevalence_csv(p)
         assert np.array_equal(back.days, data.days)
         assert np.max(np.abs(back.h_hat - data.h_hat)) < 1e-12
+
+    def test_bad_population_is_not_blamed_on_the_file(self, tmp_path):
+        p = tmp_path / "inc.csv"
+        p.write_text("day,new_cases\n0,5\n1,7\n")
+        for path in (p, tmp_path / "missing.csv"):
+            with pytest.raises(ValueError, match="population") as exc:
+                read_incidence_csv(path, population=0)
+            assert not isinstance(exc.value, MalformedCSVError)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
