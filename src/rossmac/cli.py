@@ -11,8 +11,8 @@ step <= 0 on a medium cap, fit_days or population not a positive integer,
 gamma outside (0, 1] for fit, or a diagram grid with a cell outside the
 model's ranges, in which case no CSV is written), 3 boundary requested
 outside the medium regime, 4 feedback policy outside the medium regime, 5
-malformed incidence CSV or one of fewer than two days, 1 any other
-runtime failure.
+malformed incidence CSV, one of fewer than two days or one whose
+prevalence exceeds population, 1 any other runtime failure.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-# trajectory and estimation import scipy, which takes most of a second; only
-# the commands that integrate import them, so classify and diagram need numpy only.
+# estimation imports scipy, which takes most of a second, so only fit imports
+# it; boundary and feedback simulate load scipy.integrate in boundary_curve.
 from rossmac.kernel import (
     Regime,
     build_kernel,
@@ -36,6 +36,8 @@ from rossmac.kernel import (
     regime_thresholds,
 )
 from rossmac.model import EpiParams, ModelRates, State, derive_rates
+from rossmac.trajectory import (ConstantControl, PiecewiseConstantControl, SaturatingFeedback,
+                                audit_viability, simulate)
 
 EXIT_BAD_CONFIG = 2
 EXIT_NOT_MEDIUM_BOUNDARY = 3
@@ -199,8 +201,6 @@ def cmd_boundary(cfg: dict[str, str], args) -> int:
 
 
 def _policy_from_config(cfg, args, rates):
-    from rossmac.trajectory import ConstantControl, PiecewiseConstantControl, SaturatingFeedback
-
     kind = cfg.get("policy", "constant").lower()
     if kind == "constant":
         return ConstantControl(_get_float(cfg, "u", rates.u_max))
@@ -227,8 +227,6 @@ def _policy_from_config(cfg, args, rates):
 
 
 def cmd_simulate(cfg: dict[str, str], args) -> int:
-    from rossmac.trajectory import audit_viability, simulate
-
     rates = rates_from_config(cfg)
     H_bar = _get_float(cfg, "H_bar")
     if not 0.0 < H_bar < 1.0:
@@ -308,10 +306,10 @@ def cmd_fit(cfg: dict[str, str], args) -> int:
     except (OSError, estimation.MalformedCSVError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_CSV
-    data = estimation.incidence_to_prevalence(series, gamma=gamma)
-    head = slice(int(window) + 1)
-    data = estimation.PrevalenceDataset(days=data.days[head], h_hat=data.h_hat[head])
     try:
+        data = estimation.incidence_to_prevalence(series, gamma=gamma)
+        head = slice(int(window) + 1)
+        data = estimation.PrevalenceDataset(days=data.days[head], h_hat=data.h_hat[head])
         result = estimation.fit(data, gamma=gamma)
     except ValueError as exc:
         print(f"{cfg['incidence']}: {exc}", file=sys.stderr)

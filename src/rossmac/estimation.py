@@ -103,7 +103,13 @@ def incidence_to_prevalence(series: IncidenceSeries, gamma: float = DEFAULT_GAMM
     for j in range(1, series.days.size):
         running = running * (1.0 - gamma) + float(series.new_cases[j])
         prevalence[j] = running
-    return PrevalenceDataset(days=series.days.copy(), h_hat=prevalence / series.population)
+    h_hat = prevalence / series.population
+    over = np.flatnonzero(h_hat > 1.0)
+    if over.size:
+        raise ValueError(
+            f"prevalence exceeds population={series.population} on day {series.days[over[0]]}"
+        )
+    return PrevalenceDataset(days=series.days.copy(), h_hat=h_hat)
 
 
 def _theta_array(theta) -> np.ndarray:
@@ -318,10 +324,11 @@ CALI_2013_ESTIMATE = EpiParams(
 )
 
 
-def _read_day_csv(path, column: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a `day,<column>` CSV into integer days and float values."""
+def _read_day_csv(path, column: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Read a `day,<column>` CSV into days, values and each row's file line."""
     days: list[int] = []
     values: list[float] = []
+    lines: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -329,28 +336,35 @@ def _read_day_csv(path, column: str) -> tuple[np.ndarray, np.ndarray]:
             raise MalformedCSVError(path, 1, "empty file")
         if [c.strip().lower() for c in header[:2]] != ["day", column]:
             raise MalformedCSVError(path, 1, f"expected header 'day,{column}'")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
                 days.append(int(row[0]))
                 values.append(float(row[1]))
             except (ValueError, IndexError) as exc:
-                raise MalformedCSVError(path, lineno, str(exc)) from exc
+                raise MalformedCSVError(path, reader.line_num, str(exc)) from exc
+            lines.append(reader.line_num)
     if not days:
         raise MalformedCSVError(path, 2, "no data rows")
-    return np.array(days), np.array(values)
+    return np.array(days), np.array(values), lines
 
 
 def read_incidence_csv(path, population: int) -> IncidenceSeries:
     """Read a `day,new_cases` CSV into an incidence series."""
     if population <= 0:
         raise ValueError(f"population must be positive, got {population!r}")
-    days, cases = _read_day_csv(path, "new_cases")
+    days, cases, lines = _read_day_csv(path, "new_cases")
     try:
         return IncidenceSeries(days=days, new_cases=cases, population=population)
-    except ValueError as exc:
-        raise MalformedCSVError(path, 2, str(exc)) from exc
+    except ValueError:
+        pass
+    # Blame the first row at which the rows read so far stop being a series.
+    for n, line in enumerate(lines, start=1):
+        try:
+            IncidenceSeries(days=days[:n], new_cases=cases[:n], population=population)
+        except ValueError as exc:
+            raise MalformedCSVError(path, line, str(exc)) from exc
 
 
 def write_prevalence_csv(path, data: PrevalenceDataset) -> None:
@@ -363,5 +377,5 @@ def write_prevalence_csv(path, data: PrevalenceDataset) -> None:
 
 def read_prevalence_csv(path) -> PrevalenceDataset:
     """Read a `day,h_hat` CSV into a prevalence dataset."""
-    days, h_hat = _read_day_csv(path, "h_hat")
+    days, h_hat, _ = _read_day_csv(path, "h_hat")
     return PrevalenceDataset(days=days, h_hat=h_hat)

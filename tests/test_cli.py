@@ -333,6 +333,15 @@ class TestFit:
         assert str(one_day) in err and "got 1" in err
         assert "converged" not in out
 
+    def test_prevalence_above_population_exits_5(self, tmp_path, capsys):
+        crowded = tmp_path / "crowded.csv"
+        crowded.write_text("day,new_cases\n0,5\n1,7\n2,9000\n3,4\n")
+        code, out, err = run("fit", tmp_path, {"incidence": str(crowded), "population": "1000"},
+                             capsys)
+        assert code == cli.EXIT_BAD_CSV
+        assert str(crowded) in err and "population=1000" in err and "day 2" in err
+        assert "converged" not in out
+
     def test_malformed_csv_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("day,new_cases\n0,5\n1,oops\n")

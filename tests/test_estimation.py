@@ -308,6 +308,19 @@ class TestCSV:
             read_incidence_csv(p, population=1000)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("rows, line, message", [
+        ("0,5\n1,7\n2,9\n4,3\n", 5, "contiguous"),
+        ("0,5\n1,7\n2,9\n\n4,3\n", 6, "contiguous"),
+        ("0,5\n\n1,7\n2,-9\n3,3\n", 5, "nonnegative"),
+    ], ids=["gap", "blank-line-before-gap", "negative-count"])
+    def test_series_fault_names_its_own_line(self, tmp_path, rows, line, message):
+        p = tmp_path / "gap.csv"
+        p.write_text("day,new_cases\n" + rows)
+        with pytest.raises(MalformedCSVError, match=message) as exc:
+            read_incidence_csv(p, population=1000)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"{p}:{line}:")
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

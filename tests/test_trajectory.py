@@ -1,11 +1,18 @@
 """Tests for the simulation engine, control policies and viability audit."""
 
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from rossmac.kernel import (
     KernelDescription,
@@ -13,11 +20,12 @@ from rossmac.kernel import (
     build_kernel,
     distance_to_frontier,
 )
-from rossmac.model import ModelRates, State, endemic_equilibrium
+from rossmac.model import ModelRates, State, endemic_equilibrium, g_h, g_m
 from rossmac.trajectory import (
     ConstantControl,
     PiecewiseConstantControl,
     SaturatingFeedback,
+    SimulationError,
     Trajectory,
     audit_viability,
     simulate,
@@ -25,6 +33,10 @@ from rossmac.trajectory import (
 
 RATES = ModelRates(A_m=0.2, A_h=0.3, gamma=0.1, u_min=0.05, u_max=0.25)
 MEDIUM_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733)
+STRONG_RATES = dataclasses.replace(MEDIUM_RATES, u_max=0.3733)
+# A cell whose frontier leaves the square through m = 1.
+Y1_RATES = dataclasses.replace(MEDIUM_RATES, u_max=0.0176054269488865)
+Y1_H_BAR = 0.7217515362100086
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +105,136 @@ class TestSimulate:
                         dt_out=1.0, stop_event=lambda t, m, h: h - 0.3)
         assert traj.t[-1] < 200.0
         assert traj.h[-1] == pytest.approx(0.3, abs=1e-9)
+
+
+class CountingPolicy:
+    """A policy that counts its scalar control calls, the integrator's."""
+
+    def __init__(self, policy):
+        self.policy, self.calls = policy, 0
+        self.kernel, self.u_range = policy.kernel, policy.u_range
+
+    def control(self, t, m, h):
+        self.calls += np.ndim(t) == 0
+        return self.policy.control(t, m, h)
+
+    def breakpoints_within(self, horizon):
+        return self.policy.breakpoints_within(horizon)
+
+
+def scipy_rk45(initial, policy, rates, grid, rtol, atol, stop_event=None):
+    """Samples of solve_ivp(method="RK45") on the grid, restarted at the
+    policy's breakpoints, with its nfev and the terminal event time."""
+    def rhs(t, z):
+        return [g_m(z[0], z[1], policy.control(t, z[0], z[1]), rates), g_h(z[0], z[1], rates)]
+
+    events = None
+    if stop_event is not None:
+        events = lambda t, z: stop_event(t, z[0], z[1])  # noqa: E731
+        events.terminal = True
+    cuts = [0.0] + policy.breakpoints_within(grid[-1]) + [grid[-1]]
+    z, nfev, samples = [initial.m, initial.h], 0, []
+    for a, b in zip(cuts, cuts[1:]):
+        sol = solve_ivp(rhs, (a, b), z, method="RK45", rtol=rtol, atol=atol,
+                        dense_output=True, events=events)
+        nfev += sol.nfev
+        seg = grid[(grid > a) & (grid <= b)] if samples else grid[grid <= b]
+        if sol.status == 1:
+            t_event = float(sol.t_events[0][0])
+            samples.append(sol.sol(seg[seg < t_event - 1e-15]))
+            return np.hstack(samples), nfev, t_event
+        samples.append(sol.sol(seg))
+        z = sol.sol(b)
+    return np.hstack(samples), nfev, None
+
+
+@pytest.fixture(scope="module")
+def parity_kernels(medium_kernel):
+    return [(MEDIUM_RATES, medium_kernel), (STRONG_RATES, build_kernel(STRONG_RATES, 0.5)),
+            (Y1_RATES, build_kernel(Y1_RATES, Y1_H_BAR))]
+
+
+class TestScipyParity:
+    """The in-house Dormand-Prince loop takes scipy's RK45 steps."""
+
+    @pytest.mark.parametrize("kind", ["constant", "piecewise", "feedback"])
+    def test_samples_and_control_calls_match_rk45(self, parity_kernels, kind):
+        rng = np.random.default_rng(23)
+        for rates, kernel in parity_kernels:
+            for _ in range(2):
+                start = State(rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3))
+                policy = {
+                    "constant": lambda: ConstantControl(rng.uniform(rates.u_min, rates.u_max)),
+                    "piecewise": lambda: PiecewiseConstantControl(tuple(
+                        (30.0 * i, rng.uniform(rates.u_min, rates.u_max)) for i in range(4))),
+                    "feedback": lambda: SaturatingFeedback(kernel, rates.u_min, rates.u_max),
+                }[kind]()
+                counted = CountingPolicy(policy)
+                traj = simulate(start, counted, rates, 120.0, dt_out=0.5)
+                ref, nfev, _ = scipy_rk45(start, policy, rates, traj.t, 1e-9, 1e-12)
+                assert np.max(np.abs(traj.m - ref[0])) < 1e-11
+                assert np.max(np.abs(traj.h - ref[1])) < 1e-11
+                assert counted.calls == nfev
+
+    @pytest.mark.parametrize("policy", [
+        ConstantControl(RATES.u_min),
+        PiecewiseConstantControl(((0.0, RATES.u_min), (1.0, 0.2), (2.0, RATES.u_min))),
+    ], ids=["constant", "piecewise"])
+    def test_stop_event_time_matches_rk45(self, policy):
+        def stop(t, m, h):
+            return h - 0.3
+
+        start = State(0.5, 0.01)
+        traj = simulate(start, policy, RATES, 200.0, dt_out=1.0, stop_event=stop)
+        _, _, t_event = scipy_rk45(start, policy, RATES, np.arange(0.0, 201.0), 1e-9, 1e-12, stop)
+        assert t_event is not None and abs(traj.t[-1] - t_event) < 1e-12
+
+    def test_nan_control_raises_at_its_time(self):
+        class NanAfterFive:
+            kernel, u_range = None, (RATES.u_min, RATES.u_max)
+
+            def control(self, t, m, h):
+                return math.nan if np.ndim(t) == 0 and t > 5.0 else 0.1 + 0.0 * np.asarray(t)
+
+            def breakpoints_within(self, horizon):
+                return []
+
+        with pytest.raises(SimulationError) as exc:
+            simulate(State(0.3, 0.2), NanAfterFive(), RATES, 20.0)
+        assert exc.value.at_time == pytest.approx(5.0, abs=1e-12)  # a few minimum steps
+
+    @pytest.mark.parametrize("tol, name", [
+        ({"rtol": 1e-15}, "rtol"), ({"rtol": math.nan}, "rtol"), ({"atol": -1e-12}, "atol"),
+    ])
+    def test_rejects_bad_tolerance(self, tol, name):
+        with pytest.raises(ValueError, match=name):
+            simulate(State(0.3, 0.2), ConstantControl(0.1), RATES, 10.0, **tol)
+
+
+def test_open_loop_simulate_loads_no_scipy(tmp_path):
+    """Constant and piecewise runs, from the library and from the CLI, in
+    a fresh process, never import scipy."""
+    rates = "A_m=0.2, A_h=0.3, gamma=0.1, u_min=0.05, u_max=0.25"
+    argv = ["simulate", "--out", str(tmp_path), "--set=policy=constant", "--set=m0=0.2",
+            "--set=h0=0.1", "--set=horizon=20", "--set=H_bar=0.5",
+            *(f"--set={kv.strip()}" for kv in rates.split(","))]
+    script = (
+        "import json, sys, rossmac, rossmac.cli\n"
+        f"rates = rossmac.ModelRates({rates})\n"
+        "start = rossmac.State(0.2, 0.1)\n"
+        "rossmac.simulate(start, rossmac.ConstantControl(0.1), rates, 20.0)\n"
+        "pw = rossmac.PiecewiseConstantControl(((0.0, 0.1), (5.0, 0.2)))\n"
+        "rossmac.simulate(start, pw, rates, 20.0)\n"
+        f"code = rossmac.cli.main({argv!r})\n"
+        "print(json.dumps([code, 'scipy' in sys.modules]))\n"
+    )
+    src = str(Path(simulate.__code__.co_filename).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 class TestPolicies:
