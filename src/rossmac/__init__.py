@@ -2,8 +2,7 @@
 the controlled Ross-Macdonald dengue model.
 
 Names are imported from their submodule on first access (PEP 562), so a
-caller loads only the submodules it uses; scipy comes with `estimation`
-or a `boundary_curve` call."""
+caller loads only the submodules it uses; only `estimation` loads scipy."""
 
 import importlib
 

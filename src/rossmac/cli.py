@@ -7,7 +7,8 @@ individual keys can be overridden on the command line with repeated
 output directory.
 
 Exit codes: 0 success, 2 invalid configuration (H_bar outside (0, 1),
-step <= 0 on a medium cap, fit_days or population not a positive integer,
+step <= 0 on a medium cap, rtol below 100 machine epsilons or atol negative
+or NaN for boundary or simulate, fit_days or population not a positive integer,
 gamma outside (0, 1] for fit, or a diagram grid with a cell outside the
 model's ranges, in which case no CSV is written), 3 boundary requested
 outside the medium regime, 4 feedback policy outside the medium regime, 5
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 # estimation imports scipy, which takes most of a second, so only fit imports
-# it; boundary and feedback simulate load scipy.integrate in boundary_curve.
+# it; every other command loads numpy alone.
 from rossmac.kernel import (
     Regime,
     build_kernel,

@@ -7,7 +7,8 @@ Three regimes arise depending on the cap H_bar on infected humans:
   medium -- the kernel is a strict subset whose upper-right frontier is the
             graph of a strictly decreasing curve Y(m): the orbit under
             maximal fumigation that arrives at (M_bar, H_bar), traced by
-            integrating backwards in time from that point.
+            integrating backwards in time from that point on the
+            Dormand-Prince loop that also runs `simulate` (`rossmac.ode`).
 
 The frontier is held as one polyline, the flat cap over [0, M_bar] joined
 with the sampled curve, which answers membership, height and distance
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rossmac.model import ModelRates, State, g_h, g_m
+from rossmac.ode import SimulationError, _dense, _dopri
 
 
 # Points per block of frontier_distance: a block's (points x segments)
@@ -203,7 +205,7 @@ def boundary_curve(
     rates: ModelRates,
     H_bar: float,
     step: float = 1e-3,
-    rtol: float = 1e-10,
+    rtol: float = 1e-11,
     atol: float = 1e-12,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Trace the frontier as the u_max orbit arriving at (M_bar, H_bar).
@@ -215,8 +217,6 @@ def boundary_curve(
     Returns (M_inf, m_samples, y_samples): samples at M_bar + k*step, with
     a last grid point crowding M_inf dropped, followed by M_inf itself.
     """
-    from scipy.integrate import solve_ivp  # here, so that importing this module needs no scipy
-
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     mb = m_bar(rates, H_bar)
@@ -230,37 +230,25 @@ def boundary_curve(
             "parameters violate the medium-regime hypotheses"
         )
 
-    def rhs(t, y):
-        m, h = y
-        return [-g_m(m, h, rates.u_max, rates), -g_h(m, h, rates)]
+    def rhs(t, m, h):
+        return -g_m(m, h, rates.u_max, rates), -g_h(m, h, rates)
 
-    def h_zero(t, y):
-        return y[1]
+    def inside(t, m, h):  # positive in the box, 0 where the orbit leaves it
+        return min(h, 1.0 - m)
 
-    h_zero.terminal = True
-    h_zero.direction = -1
-
-    def m_one(t, y):
-        return y[0] - 1.0
-
-    m_one.terminal = True
-    m_one.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, _FRONTIER_HORIZON),
-        [mb, H_bar],
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        events=(h_zero, m_one),
-        dense_output=True,
-    )
-    if sol.status != 1:
+    rows: list[tuple] = []
+    try:
+        _, t_exit = _dopri(rhs, 0.0, (mb, H_bar), _FRONTIER_HORIZON, rtol, atol, inside, rows)
+    except SimulationError as exc:
+        raise FrontierIntegrationError(f"backward orbit integration failed: {exc}") from exc
+    if t_exit is None:
         raise FrontierIntegrationError(
-            f"backward orbit did not leave the box by t = {_FRONTIER_HORIZON}: {sol.message}"
+            f"backward orbit did not leave the box by t = {_FRONTIER_HORIZON}"
         )
-    t_steps, m_steps = sol.t, sol.y[0]
+    steps = np.array(rows)
+    m_exit, h_exit = _dense(steps, np.array([t_exit]))[:, 0]
+    t_steps = np.append(steps[:, 0], t_exit)
+    m_steps = np.append(steps[:, 2], m_exit)
     # Steps may leave m unchanged at float resolution when the start lies
     # near the equilibrium (H_bar just above the lower threshold).
     if np.any(np.diff(m_steps) < 0.0):
@@ -268,10 +256,10 @@ def boundary_curve(
             "backward orbit is not a graph over m; "
             "parameters violate the medium-regime hypotheses"
         )
-    if sol.t_events[0].size > 0:
-        m_inf, y_end = float(m_steps[-1]), 0.0
+    if h_exit < 1.0 - m_exit:
+        m_inf, y_end = float(m_exit), 0.0
     else:
-        m_inf, y_end = 1.0, float(sol.y[1, -1])
+        m_inf, y_end = 1.0, float(h_exit)
 
     m_grid = np.arange(mb, m_inf, step)
     # Trim a last grid point crowding M_inf, but never the start M_bar.
@@ -284,7 +272,7 @@ def boundary_curve(
     # time correction is carried to h to first order instead of evaluated.
     t = np.interp(m_samples, m_steps, t_steps)
     for _ in range(3):
-        m, h = sol.sol(t)
+        m, h = _dense(steps, t)
         dt = (m - m_samples) / g_m(m, h, rates.u_max, rates)
         t += dt
     y_samples = h - g_h(m, h, rates) * dt
@@ -299,7 +287,7 @@ def build_kernel(
     rates: ModelRates,
     H_bar: float,
     step: float = 1e-3,
-    rtol: float = 1e-10,
+    rtol: float = 1e-11,
     atol: float = 1e-12,
 ) -> KernelDescription:
     """Classify the regime and, for medium caps, compute the frontier."""

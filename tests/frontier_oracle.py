@@ -8,6 +8,10 @@ end (M_inf, Y(M_inf)).  The library traces the frontier the same way, so
 the samples in between are also checked against a second method: the
 boundary ODE Y'(m) = g_h / g_m, integrated forward in m from
 (M_bar, H_bar).
+
+Membership is checked in forward time alone by `least_cap`, the lowest cap
+that fumigation up to u_max holds from a state: the kernel for H_bar is
+the set where it is at most H_bar.
 """
 
 from typing import NamedTuple
@@ -75,3 +79,29 @@ def boundary_ode_values(rates: ModelRates, M_bar: float, H_bar: float, m) -> np.
     if sol.status == -1:
         raise RuntimeError(f"boundary ODE failed: {sol.message}")
     return sol.sol(np.asarray(m, dtype=float))[0]
+
+
+def least_cap(rates: ModelRates, m: float, h: float) -> float:
+    """The supremum of h along the forward u_max orbit from (m, h).
+
+    The system is cooperative, so dh/dt changes sign at most once along an
+    orbit: the supremum is the larger of h, the peak where g_h crosses 0
+    downwards, and the u_max endemic level max(lower, 0) the orbit tends to.
+    """
+
+    def rhs(t, y):
+        return [g_m(y[0], y[1], rates.u_max, rates), g_h(y[0], y[1], rates)]
+
+    def peak(t, y):
+        return g_h(y[0], y[1], rates)
+
+    peak.terminal = True
+    peak.direction = -1
+
+    sol = solve_ivp(rhs, (0.0, HORIZON), [m, h], method="DOP853", rtol=1e-10, atol=1e-12,
+                    events=peak)
+    if sol.status == -1:
+        raise RuntimeError(f"forward orbit failed: {sol.message}")
+    top = sol.y_events[0][0][1] if sol.y_events[0].size else h
+    lower = (rates.A_h - rates.gamma * rates.u_max / rates.A_m) / (rates.A_h + rates.gamma)
+    return max(h, top, lower, 0.0)

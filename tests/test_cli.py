@@ -127,7 +127,7 @@ class TestBoundary:
         # With neither --tol nor rtol/atol keys the frontier is traced at
         # build_kernel's own tolerances.  On this cell, which leaves the box
         # through m = 1, a CLI default of rtol = 1e-9 put the last row 8.5e-9
-        # off the backward orbit's exit; build_kernel's default misses by 1.1e-9.
+        # off the backward orbit's exit; build_kernel's default misses by 2.6e-10.
         u_max, H_bar = 0.01271789327358196, 0.7305437433203956
         cell = {**MEDIUM, "u_max": repr(u_max), "H_bar": repr(H_bar)}
         code, _, err = run("boundary", tmp_path, cell, capsys)
@@ -139,7 +139,8 @@ class TestBoundary:
         assert abs(y_end - orbit.h) < 2e-9
 
     @pytest.mark.parametrize("key, value", [("H_bar", "1.5"), ("H_bar", "0"), ("step", "0"),
-                                            ("step", "-1e-3")])
+                                            ("step", "-1e-3"), ("rtol", "1e-15"), ("atol", "-1"),
+                                            ("atol", "nan")])
     def test_bad_cap_or_step_exits_2(self, tmp_path, capsys, key, value):
         code, _, err = run("boundary", tmp_path, {**MEDIUM, key: value}, capsys)
         assert code == cli.EXIT_BAD_CONFIG
@@ -376,18 +377,33 @@ class TestConfigHandling:
         assert "gamma" in err
 
 
-def test_classify_and_diagram_load_no_scipy(tmp_path):
-    """The closed-form commands, run in a fresh process, never import scipy."""
+def test_only_fit_loads_scipy(tmp_path):
+    """Every command but fit, and the library's kernels and runs, in a
+    fresh process, never import scipy."""
     sets = [f"--set={k}={v}" for k, v in MEDIUM.items()]
+    start = ["--set=m0=0.2", "--set=h0=0.1", "--set=horizon=20"]
     runs = [["classify", *sets],
-            ["diagram", "--out", str(tmp_path), *sets, "--set=u_grid=0:0.1:3", "--set=H_grid=0.2,0.6"]]
-    script = ("import json, sys, rossmac, rossmac.cli\n"
-              f"codes = [rossmac.cli.main(argv) for argv in {runs!r}]\n"
-              "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+            ["diagram", "--out", str(tmp_path), *sets, "--set=u_grid=0:0.1:3", "--set=H_grid=0.2,0.6"],
+            ["boundary", "--out", str(tmp_path), *sets],
+            ["simulate", "--out", str(tmp_path / "constant"), *sets, *start, "--set=policy=constant"],
+            ["simulate", "--out", str(tmp_path / "feedback"), *sets, *start, "--set=policy=feedback"]]
+    script = (
+        "import json, sys, rossmac, rossmac.cli\n"
+        "rates = rossmac.ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733)\n"
+        "start = rossmac.State(0.2, 0.1)\n"
+        "rossmac.simulate(start, rossmac.ConstantControl(0.02), rates, 20.0)\n"
+        "pw = rossmac.PiecewiseConstantControl(((0.0, 0.01), (5.0, 0.03)))\n"
+        "rossmac.simulate(start, pw, rates, 20.0)\n"
+        "rossmac.build_kernel(rates, 0.5)\n"
+        f"codes = [rossmac.cli.main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
+    )
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
-    assert (tmp_path / "diagram.csv").exists()
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0, 0], False]
+    for csv_file in ("diagram.csv", "frontier.csv", "constant/trajectory.csv",
+                     "feedback/trajectory.csv"):
+        assert (tmp_path / csv_file).exists()

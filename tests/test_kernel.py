@@ -34,7 +34,7 @@ from rossmac.kernel import (
 from rossmac.model import ModelRates, State, g_h, g_m
 from rossmac.trajectory import ConstantControl, SaturatingFeedback, audit_viability, simulate
 
-from frontier_oracle import boundary_ode_values, reversed_orbit_exit
+from frontier_oracle import boundary_ode_values, least_cap, reversed_orbit_exit
 
 MEDIUM_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733)
 STRONG_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.3733)
@@ -255,6 +255,28 @@ class TestMembership:
         y1 = float(desc.frontier_value(1.0))
         assert kernel_membership(desc, State(1.0, y1 - 0.01))
         assert not kernel_membership(desc, State(1.0, y1 + 0.01))
+
+    @pytest.mark.parametrize("rates, H_bar", [(MEDIUM_RATES, 0.5), (STRONG_RATES, 0.5),
+                                              (Y1_RATES, Y1_H_BAR)], ids=["baseline", "strong", "y1"])
+    def test_agrees_with_forward_least_cap(self, rates, H_bar):
+        # contains reads the polyline of the backward orbit; least_cap uses
+        # forward time alone.  Points within four chord sags (|Y''| dx^2 / 8,
+        # Y'' from the samples) of the polyline are left out.  Half the
+        # points lie 1.5 to 3 such bands above or below the curve.
+        desc = build_kernel(rates, H_bar)
+        dx = np.diff(desc.frontier_m)
+        slope = np.diff(desc.frontier_y) / dx
+        curvature = np.abs(np.diff(slope)) / (0.5 * (dx[1:] + dx[:-1]))
+        band = 4 * curvature.max() * dx.max() ** 2 / 8
+        rng = np.random.default_rng(0)
+        m_near = rng.uniform(desc.M_bar, desc.M_inf, 100)
+        h_near = desc.frontier_value(m_near) + rng.choice([-1, 1], 100) * rng.uniform(1.5, 3, 100) * band
+        m = np.concatenate((rng.uniform(0.0, 1.0, 100), m_near))
+        h = np.concatenate((rng.uniform(0.0, H_bar, 100), h_near))
+        far = (np.abs(h - desc.frontier_value(m)) > band) & (h >= 0.0)
+        inside = [least_cap(rates, a, b) <= H_bar for a, b in zip(m[far], h[far])]
+        assert 0 < sum(inside) < len(inside)
+        assert np.array_equal(inside, desc.contains(m[far], h[far]))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -1,12 +1,7 @@
 """Tests for the simulation engine, control policies and viability audit."""
 
 import dataclasses
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +12,7 @@ from scipy.integrate import solve_ivp
 from rossmac.kernel import (
     KernelDescription,
     Regime,
+    boundary_curve,
     build_kernel,
     distance_to_frontier,
 )
@@ -205,36 +201,16 @@ class TestScipyParity:
 
     @pytest.mark.parametrize("tol, name", [
         ({"rtol": 1e-15}, "rtol"), ({"rtol": math.nan}, "rtol"), ({"atol": -1e-12}, "atol"),
+        ({"atol": math.nan}, "atol"),
     ])
     def test_rejects_bad_tolerance(self, tol, name):
+        # The check sits in the integrator, so the frontier orbit has it too.
         with pytest.raises(ValueError, match=name):
             simulate(State(0.3, 0.2), ConstantControl(0.1), RATES, 10.0, **tol)
-
-
-def test_open_loop_simulate_loads_no_scipy(tmp_path):
-    """Constant and piecewise runs, from the library and from the CLI, in
-    a fresh process, never import scipy."""
-    rates = "A_m=0.2, A_h=0.3, gamma=0.1, u_min=0.05, u_max=0.25"
-    argv = ["simulate", "--out", str(tmp_path), "--set=policy=constant", "--set=m0=0.2",
-            "--set=h0=0.1", "--set=horizon=20", "--set=H_bar=0.5",
-            *(f"--set={kv.strip()}" for kv in rates.split(","))]
-    script = (
-        "import json, sys, rossmac, rossmac.cli\n"
-        f"rates = rossmac.ModelRates({rates})\n"
-        "start = rossmac.State(0.2, 0.1)\n"
-        "rossmac.simulate(start, rossmac.ConstantControl(0.1), rates, 20.0)\n"
-        "pw = rossmac.PiecewiseConstantControl(((0.0, 0.1), (5.0, 0.2)))\n"
-        "rossmac.simulate(start, pw, rates, 20.0)\n"
-        f"code = rossmac.cli.main({argv!r})\n"
-        "print(json.dumps([code, 'scipy' in sys.modules]))\n"
-    )
-    src = str(Path(simulate.__code__.co_filename).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
-    assert (tmp_path / "trajectory.csv").exists()
+        with pytest.raises(ValueError, match=name):
+            boundary_curve(MEDIUM_RATES, 0.5, **tol)
+        with pytest.raises(ValueError, match=name):
+            build_kernel(MEDIUM_RATES, 0.5, **tol)
 
 
 class TestPolicies:
