@@ -377,9 +377,9 @@ class TestConfigHandling:
         assert "gamma" in err
 
 
-def test_only_fit_loads_scipy(tmp_path):
-    """Every command but fit, and the library's kernels and runs, in a
-    fresh process, never import scipy."""
+def test_classify_and_diagram_load_no_scipy(tmp_path):
+    """Every command but fit, run in a fresh process, never imports scipy:
+    classify, diagram, boundary, and constant and feedback simulate."""
     sets = [f"--set={k}={v}" for k, v in MEDIUM.items()]
     start = ["--set=m0=0.2", "--set=h0=0.1", "--set=horizon=20"]
     runs = [["classify", *sets],
@@ -387,17 +387,9 @@ def test_only_fit_loads_scipy(tmp_path):
             ["boundary", "--out", str(tmp_path), *sets],
             ["simulate", "--out", str(tmp_path / "constant"), *sets, *start, "--set=policy=constant"],
             ["simulate", "--out", str(tmp_path / "feedback"), *sets, *start, "--set=policy=feedback"]]
-    script = (
-        "import json, sys, rossmac, rossmac.cli\n"
-        "rates = rossmac.ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733)\n"
-        "start = rossmac.State(0.2, 0.1)\n"
-        "rossmac.simulate(start, rossmac.ConstantControl(0.02), rates, 20.0)\n"
-        "pw = rossmac.PiecewiseConstantControl(((0.0, 0.01), (5.0, 0.03)))\n"
-        "rossmac.simulate(start, pw, rates, 20.0)\n"
-        "rossmac.build_kernel(rates, 0.5)\n"
-        f"codes = [rossmac.cli.main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
-    )
+    script = ("import json, sys, rossmac, rossmac.cli\n"
+              f"codes = [rossmac.cli.main(argv) for argv in {runs!r}]\n"
+              "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},

@@ -1,7 +1,12 @@
 """Tests for the simulation engine, control policies and viability audit."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +216,33 @@ class TestScipyParity:
             boundary_curve(MEDIUM_RATES, 0.5, **tol)
         with pytest.raises(ValueError, match=name):
             build_kernel(MEDIUM_RATES, 0.5, **tol)
+
+
+def test_open_loop_simulate_loads_no_scipy(tmp_path):
+    """Constant and piecewise runs and a kernel build from the library, and a
+    constant run from the CLI, in a fresh process, never import scipy."""
+    rates = "A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733"
+    argv = ["simulate", "--out", str(tmp_path), "--set=policy=constant", "--set=m0=0.2",
+            "--set=h0=0.1", "--set=horizon=20", "--set=H_bar=0.5",
+            *(f"--set={kv.strip()}" for kv in rates.split(","))]
+    script = (
+        "import json, sys, rossmac, rossmac.cli\n"
+        f"rates = rossmac.ModelRates({rates})\n"
+        "start = rossmac.State(0.2, 0.1)\n"
+        "rossmac.simulate(start, rossmac.ConstantControl(0.02), rates, 20.0)\n"
+        "pw = rossmac.PiecewiseConstantControl(((0.0, 0.01), (5.0, 0.03)))\n"
+        "rossmac.simulate(start, pw, rates, 20.0)\n"
+        "rossmac.build_kernel(rates, 0.5)\n"
+        f"code = rossmac.cli.main({argv!r})\n"
+        "print(json.dumps([code, 'scipy' in sys.modules]))\n"
+    )
+    src = str(Path(simulate.__code__.co_filename).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 class TestPolicies:
