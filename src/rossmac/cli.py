@@ -6,13 +6,10 @@ individual keys can be overridden on the command line with repeated
 `key=value` lines, diagnostics to stderr, and CSV/SVG artifacts to the
 output directory.
 
-Exit codes: 0 success, 2 invalid configuration (H_bar outside (0, 1),
-step <= 0 on a medium cap, rtol below 100 machine epsilons or atol negative
-or NaN for boundary or simulate, fit_days or population not a positive integer,
-gamma outside (0, 1] for fit, or a diagram grid with a cell outside the
-model's ranges, in which case no CSV is written), 3 boundary requested
-outside the medium regime, 4 feedback policy outside the medium regime, 5
-malformed incidence CSV, one of fewer than two days or one whose
+Exit codes: 0 success, 2 invalid configuration (every ValueError that
+reaches `main`, raised here or by the library on a bad input), 3 boundary
+requested outside the medium regime, 4 feedback policy outside the medium
+regime, 5 malformed incidence CSV, one of fewer than two days or one whose
 prevalence exceeds population, 1 any other runtime failure.
 """
 
@@ -46,10 +43,6 @@ EXIT_NOT_MEDIUM_FEEDBACK = 4
 EXIT_BAD_CSV = 5
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
@@ -59,18 +52,18 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
     if path is not None:
         p = Path(path)
         if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
             cfg[key.strip()] = value.strip()
     for item in overrides:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         cfg[key.strip()] = value.strip()
     return cfg
@@ -80,43 +73,38 @@ def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> f
     if key not in cfg:
         if default is not None:
             return default
-        raise ConfigError(f"missing required key: {key}")
+        raise ValueError(f"missing required key: {key}")
     try:
         return float(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"invalid value for key {key}: {cfg[key]!r}") from exc
+        raise ValueError(f"invalid value for key {key}: {cfg[key]!r}") from exc
 
 
 def rates_from_config(cfg: dict[str, str]) -> ModelRates:
     """Either reduced rates (A_m, A_h, gamma, u_min, u_max) or raw
     parameters (alpha, p_h, p_m, xi, delta, gamma, u_max)."""
-    try:
-        if "A_m" in cfg or "A_h" in cfg:
-            return ModelRates(
-                A_m=_get_float(cfg, "A_m"),
-                A_h=_get_float(cfg, "A_h"),
-                gamma=_get_float(cfg, "gamma"),
-                u_min=_get_float(cfg, "u_min", 0.0),
-                u_max=_get_float(cfg, "u_max"),
-            )
-        params = EpiParams(
-            alpha=_get_float(cfg, "alpha"),
-            p_h=_get_float(cfg, "p_h"),
-            p_m=_get_float(cfg, "p_m"),
-            xi=_get_float(cfg, "xi"),
-            delta=_get_float(cfg, "delta"),
+    if "A_m" in cfg or "A_h" in cfg:
+        return ModelRates(
+            A_m=_get_float(cfg, "A_m"),
+            A_h=_get_float(cfg, "A_h"),
             gamma=_get_float(cfg, "gamma"),
+            u_min=_get_float(cfg, "u_min", 0.0),
+            u_max=_get_float(cfg, "u_max"),
         )
-        return derive_rates(params, _get_float(cfg, "u_max"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = EpiParams(
+        alpha=_get_float(cfg, "alpha"),
+        p_h=_get_float(cfg, "p_h"),
+        p_m=_get_float(cfg, "p_m"),
+        xi=_get_float(cfg, "xi"),
+        delta=_get_float(cfg, "delta"),
+        gamma=_get_float(cfg, "gamma"),
+    )
+    return derive_rates(params, _get_float(cfg, "u_max"))
 
 
-def _tolerances(cfg: dict[str, str], tol_flag: float | None) -> dict[str, float]:
-    """Integrator tolerances from --tol or the rtol/atol keys.  Those not
-    given are left out, so each library function keeps its own default."""
-    if tol_flag is not None:
-        return {"rtol": tol_flag, "atol": tol_flag}
+def _tolerances(cfg: dict[str, str]) -> dict[str, float]:
+    """Integrator tolerances from the rtol/atol keys.  Those not given are
+    left out, so each library function keeps its own default."""
     return {key: _get_float(cfg, key) for key in ("rtol", "atol") if key in cfg}
 
 
@@ -129,11 +117,8 @@ def _out_dir(cfg: dict[str, str], out_flag: str | None) -> Path:
 def cmd_classify(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
     H_bar = _get_float(cfg, "H_bar")
-    try:
-        regime = classify_regime(rates, H_bar)
-        lower, upper = regime_thresholds(rates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    regime = classify_regime(rates, H_bar)
+    lower, upper = regime_thresholds(rates)
     print(f"regime={regime.value}")
     print(f"threshold_low={_fmt(lower)}")
     print(f"threshold_high={_fmt(upper)}")
@@ -143,12 +128,15 @@ def cmd_classify(cfg: dict[str, str], args) -> int:
     return 0
 
 
-def _write_frontier_csv(path: Path, fm: np.ndarray, fy: np.ndarray) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m", "Y"])
-        for m, y in zip(fm, fy):
-            writer.writerow([_fmt(m), _fmt(y)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_frontier_csv(path: Path, fm: np.ndarray, fy: np.ndarray) -> None:
+    _write_csv(path, ["m", "Y"], ([_fmt(m), _fmt(y)] for m, y in zip(fm, fy)))
 
 
 def _write_kernel_svg(path: Path, desc) -> None:
@@ -172,17 +160,14 @@ def _write_kernel_svg(path: Path, desc) -> None:
     path.write_text(svg)
 
 
-def _kernel_from_config(cfg: dict[str, str], args, rates: ModelRates):
+def _kernel_from_config(cfg: dict[str, str], rates: ModelRates):
     """The one kernel request of `boundary` and feedback `simulate`."""
-    try:
-        return build_kernel(rates, _get_float(cfg, "H_bar"), step=_get_float(cfg, "step", 1e-3),
-                            **_tolerances(cfg, args.tol))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_kernel(rates, _get_float(cfg, "H_bar"), step=_get_float(cfg, "step", 1e-3),
+                        **_tolerances(cfg))
 
 
 def cmd_boundary(cfg: dict[str, str], args) -> int:
-    desc = _kernel_from_config(cfg, args, rates_from_config(cfg))
+    desc = _kernel_from_config(cfg, rates_from_config(cfg))
     if desc.regime is not Regime.MEDIUM:
         kernel = "the origin only" if desc.regime is Regime.LOW else "the whole constraint box"
         print(f"regime {desc.regime.value}: the kernel is {kernel}; no frontier curve to compute",
@@ -201,14 +186,14 @@ def cmd_boundary(cfg: dict[str, str], args) -> int:
     return 0
 
 
-def _policy_from_config(cfg, args, rates):
+def _policy_from_config(cfg, rates):
     kind = cfg.get("policy", "constant").lower()
     if kind == "constant":
         return ConstantControl(_get_float(cfg, "u", rates.u_max))
     if kind == "piecewise":
         spec = cfg.get("schedule")
         if spec is None:
-            raise ConfigError("missing required key: schedule")
+            raise ValueError("missing required key: schedule")
         try:
             pairs = tuple(
                 (float(p.split(":")[0]), float(p.split(":")[1]))
@@ -216,42 +201,32 @@ def _policy_from_config(cfg, args, rates):
             )
             return PiecewiseConstantControl(pairs)
         except (ValueError, IndexError) as exc:
-            raise ConfigError(f"invalid value for key schedule: {spec!r}") from exc
+            raise ValueError(f"invalid value for key schedule: {spec!r}") from exc
     if kind == "feedback":
-        desc = _kernel_from_config(cfg, args, rates)
+        desc = _kernel_from_config(cfg, rates)
         if desc.regime is not Regime.MEDIUM:
             print(f"feedback policy requires the medium regime (regime is {desc.regime.value})",
                   file=sys.stderr)
             return None  # caller maps this to the feedback exit code
         return SaturatingFeedback(desc, rates.u_min, rates.u_max)
-    raise ConfigError(f"invalid value for key policy: {kind!r}")
+    raise ValueError(f"invalid value for key policy: {kind!r}")
 
 
 def cmd_simulate(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
     H_bar = _get_float(cfg, "H_bar")
     if not 0.0 < H_bar < 1.0:
-        raise ConfigError(f"H_bar must lie in (0, 1), got {H_bar!r}")
-    try:
-        initial = State(m=_get_float(cfg, "m0"), h=_get_float(cfg, "h0"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
+    initial = State(m=_get_float(cfg, "m0"), h=_get_float(cfg, "h0"))
     horizon = _get_float(cfg, "horizon")
     dt_out = _get_float(cfg, "dt_out", 0.1)
-    policy = _policy_from_config(cfg, args, rates)
+    policy = _policy_from_config(cfg, rates)
     if policy is None:
         return EXIT_NOT_MEDIUM_FEEDBACK
-    try:
-        traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **_tolerances(cfg, args.tol))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = _out_dir(cfg, args.out)
-    csv_path = out / "trajectory.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "m", "h", "u"])
-        for t, m, h, u in zip(traj.t, traj.m, traj.h, traj.u):
-            writer.writerow([_fmt(t), _fmt(m), _fmt(h), _fmt(u)])
+    traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **_tolerances(cfg))
+    csv_path = _out_dir(cfg, args.out) / "trajectory.csv"
+    _write_csv(csv_path, ["t", "m", "h", "u"],
+               ([_fmt(v) for v in row] for row in zip(traj.t, traj.m, traj.h, traj.u)))
     violation = audit_viability(traj, H_bar)
     print(f"trajectory_csv={csv_path}")
     print("viability_violation=" + ("none" if violation is None else _fmt(violation)))
@@ -271,20 +246,16 @@ def cmd_diagram(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
     if "u_grid" not in cfg or "H_grid" not in cfg:
         missing = "u_grid" if "u_grid" not in cfg else "H_grid"
-        raise ConfigError(f"missing required key: {missing}")
+        raise ValueError(f"missing required key: {missing}")
     try:
         u_grid, H_grid = _parse_grid(cfg["u_grid"]), _parse_grid(cfg["H_grid"])
         grid = regime_diagram(rates, u_grid, H_grid)
     except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-    out = _out_dir(cfg, args.out)
-    csv_path = out / "diagram.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "H", "regime"])
-        for H, row in zip(H_grid, grid):
-            for u, regime in zip(u_grid, row):
-                writer.writerow([_fmt(u), _fmt(H), regime.value])
+        raise ValueError(f"invalid grid: {exc}") from exc
+    csv_path = _out_dir(cfg, args.out) / "diagram.csv"
+    _write_csv(csv_path, ["u", "H", "regime"],
+               ([_fmt(u), _fmt(H), regime.value]
+                for H, row in zip(H_grid, grid) for u, regime in zip(u_grid, row)))
     print(f"diagram_csv={csv_path}")
     return 0
 
@@ -293,18 +264,18 @@ def cmd_fit(cfg: dict[str, str], args) -> int:
     from rossmac import estimation
 
     if "incidence" not in cfg:
-        raise ConfigError("missing required key: incidence")
+        raise ValueError("missing required key: incidence")
     population = _get_float(cfg, "population")
     gamma = _get_float(cfg, "gamma", estimation.DEFAULT_GAMMA)
     window = _get_float(cfg, "fit_days", estimation.FIT_WINDOW_DAYS)
     for key, value in (("population", population), ("fit_days", window)):
         if not value > 0.0 or not float(value).is_integer():
-            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+            raise ValueError(f"{key} must be a positive integer, got {value!r}")
     if not 0.0 < gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in (0, 1], got {gamma!r}")
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     try:
         series = estimation.read_incidence_csv(cfg["incidence"], int(population))
-    except (OSError, estimation.MalformedCSVError) as exc:
+    except (OSError, ValueError) as exc:  # a file that is not UTF-8 text included
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_CSV
     try:
@@ -321,11 +292,8 @@ def cmd_fit(cfg: dict[str, str], args) -> int:
         result.theta_hat, float(data.h_hat[0]), data.days.astype(float), gamma=gamma
     )
     curve_path = out / "fit_curve.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "h_hat", "h_model"])
-        for d, hh, hm in zip(data.days, data.h_hat, h_model):
-            writer.writerow([int(d), _fmt(hh), _fmt(hm)])
+    _write_csv(curve_path, ["day", "h_hat", "h_model"],
+               ([int(d), _fmt(hh), _fmt(hm)] for d, hh, hm in zip(data.days, data.h_hat, h_model)))
 
     report_path = out / "fit_report.txt"
     th = result.theta_hat
@@ -370,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--out", help="output directory (default: '.')")
-        p.add_argument("--tol", type=float, help="integrator rtol and atol")
         p.add_argument(
             "--set",
             action="append",
@@ -386,7 +353,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set)
         return COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except Exception as exc:  # noqa: BLE001 - surface as exit code, not traceback

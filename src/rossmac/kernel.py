@@ -217,7 +217,7 @@ def boundary_curve(
     Returns (M_inf, m_samples, y_samples): samples at M_bar + k*step, with
     a last grid point crowding M_inf dropped, followed by M_inf itself.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
     mb = m_bar(rates, H_bar)
     if mb >= 1.0:

@@ -68,7 +68,7 @@ def _dopri(rhs, t, y, t_end, rtol, atol, event, steps):
         min_step = 10 * math.ulp(t)
         step, rejected = max(step, min_step), False
         while True:
-            if step < min_step:
+            if not step >= min_step:  # also stops a NaN step
                 raise SimulationError("integration failed: step size below its minimum", t)
             dt = min(t + step, t_end) - t
             K = [f]

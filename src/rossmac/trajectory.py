@@ -58,7 +58,7 @@ class PiecewiseConstantControl:
         if not self.schedule or self.schedule[0][0] != 0.0:
             raise ValueError("schedule must start with a breakpoint at t = 0")
         times, rates = (np.array(c, dtype=float) for c in zip(*self.schedule))
-        if np.any(np.diff(times) <= 0.0):
+        if not np.all(np.diff(times) > 0.0):
             raise ValueError("breakpoint times must be strictly increasing")
         object.__setattr__(self, "_times", times)
         # Indexed by searchsorted(times, t, "right"), which is 0 for t < 0.
@@ -118,7 +118,7 @@ class Trajectory:
     left_kernel: bool = False
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.t) <= 0.0) or self.t[0] != 0.0:
+        if not np.all(np.diff(self.t) > 0.0) or self.t[0] != 0.0:
             raise ValueError("sample times must increase strictly from 0")
         if not (np.all(np.isfinite(self.m)) and np.all(np.isfinite(self.h))):
             raise ValueError("non-finite state samples")
@@ -143,10 +143,10 @@ def simulate(
     between accepted steps stops the run, as scipy's terminal events do,
     and the final sample then sits at the event time instead of the horizon.
     """
-    if horizon <= 0.0 or dt_out <= 0.0:
+    if not (horizon > 0.0 and dt_out > 0.0):
         raise ValueError("horizon and dt_out must be positive")
     lo, hi = policy.u_range
-    if lo < rates.u_min or hi > rates.u_max:
+    if not (rates.u_min <= lo and hi <= rates.u_max):
         raise ValueError(
             f"policy emits controls in [{lo}, {hi}] outside [{rates.u_min}, {rates.u_max}]"
         )

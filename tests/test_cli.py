@@ -72,6 +72,14 @@ class TestClassify:
         assert code == cli.EXIT_BAD_CONFIG
         assert "H_bar" in err
 
+    def test_tol_flag_is_gone(self):
+        # --set rtol=... --set atol=... sets the integrator tolerances.
+        argv = ["classify", "--tol", "1e-9"]
+        argv += [a for k, v in MEDIUM.items() for a in ("--set", f"{k}={v}")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
     def test_config_file_with_comments(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(
@@ -124,8 +132,8 @@ class TestBoundary:
         assert rows[1].split(",")[1] == "0.7564885"
 
     def test_default_tolerances_meet_the_m1_exit(self, tmp_path, capsys):
-        # With neither --tol nor rtol/atol keys the frontier is traced at
-        # build_kernel's own tolerances.  On this cell, which leaves the box
+        # With no rtol/atol keys the frontier is traced at build_kernel's
+        # own tolerances.  On this cell, which leaves the box
         # through m = 1, a CLI default of rtol = 1e-9 put the last row 8.5e-9
         # off the backward orbit's exit; build_kernel's default misses by 2.6e-10.
         u_max, H_bar = 0.01271789327358196, 0.7305437433203956
@@ -140,7 +148,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize("key, value", [("H_bar", "1.5"), ("H_bar", "0"), ("step", "0"),
                                             ("step", "-1e-3"), ("rtol", "1e-15"), ("atol", "-1"),
-                                            ("atol", "nan")])
+                                            ("atol", "nan"), ("step", "nan")])
     def test_bad_cap_or_step_exits_2(self, tmp_path, capsys, key, value):
         code, _, err = run("boundary", tmp_path, {**MEDIUM, key: value}, capsys)
         assert code == cli.EXIT_BAD_CONFIG
@@ -199,7 +207,7 @@ class TestSimulate:
         assert "H_bar" in err
         assert not (tmp_path / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize("step", ["0", "-1e-3"])
+    @pytest.mark.parametrize("step", ["0", "-1e-3", "nan"])
     def test_feedback_bad_step_exits_2(self, tmp_path, capsys, step):
         cfg = {**self.BASE, "policy": "feedback", "step": step}
         code, _, err = run("simulate", tmp_path, cfg, capsys)
@@ -228,6 +236,19 @@ class TestSimulate:
     def test_bad_initial_state_exits_2(self, tmp_path, capsys):
         code, _, err = run("simulate", tmp_path, {**self.BASE, "m0": "1.5"}, capsys)
         assert code == cli.EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("u", "nan", "controls"), ("schedule", "0:nan", "controls"),
+        ("schedule", "0:0.02,nan:0.03", "schedule"), ("horizon", "nan", "horizon"),
+        ("dt_out", "nan", "dt_out"),
+    ])
+    def test_nan_setting_exits_2(self, tmp_path, capsys, key, value, named):
+        policy = "piecewise" if key == "schedule" else "constant"
+        cfg = {**self.BASE, "policy": policy, key: value}
+        code, _, err = run("simulate", tmp_path, cfg, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert named in err
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestDiagram:
@@ -350,6 +371,13 @@ class TestFit:
         code, _, err = run("fit", tmp_path, cfg, capsys)
         assert code == cli.EXIT_BAD_CSV
         assert ":3:" in err
+
+    def test_undecodable_csv_exits_5(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"day,new_cases\n0,5\xff\n1,4\n")
+        code, _, err = run("fit", tmp_path, {"incidence": str(bad), "population": "1000"}, capsys)
+        assert code == cli.EXIT_BAD_CSV
+        assert "utf-8" in err
 
 
 class TestConfigHandling:

@@ -35,6 +35,7 @@ from rossmac.model import ModelRates, State, g_h, g_m
 from rossmac.trajectory import ConstantControl, SaturatingFeedback, audit_viability, simulate
 
 from frontier_oracle import boundary_ode_values, least_cap, reversed_orbit_exit
+from viability_grid import NODES, grid_viability_kernel
 
 MEDIUM_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733)
 STRONG_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.3733)
@@ -277,6 +278,20 @@ class TestMembership:
         inside = [least_cap(rates, a, b) <= H_bar for a, b in zip(m[far], h[far])]
         assert 0 < sum(inside) < len(inside)
         assert np.array_equal(inside, desc.contains(m[far], h[far]))
+
+    @pytest.mark.parametrize("H_bar", [0.5, 0.6, 0.7, 0.8])
+    def test_agrees_with_grid_viability_kernel(self, H_bar):
+        # Nearest-node rounding moves the grid kernel's edge by a few grid
+        # steps, so nodes within four m-steps of the frontier curve are left
+        # out.  Low caps are not checked: there rounding holds slow points
+        # near the origin in place, and the grid kernel stays far too large.
+        band = 4.0 / (NODES - 1)
+        desc = build_kernel(MEDIUM_RATES, H_bar)
+        m, h, grid_inside = grid_viability_kernel(MEDIUM_RATES, H_bar)
+        inside = desc.contains(m, h)
+        assert 0 < inside.sum() and (desc.regime is Regime.HIGH or not inside.all())
+        for a, b in zip(m[inside != grid_inside], h[inside != grid_inside]):
+            assert polyline_distance(desc.frontier_m, desc.frontier_y, a, b) <= band
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

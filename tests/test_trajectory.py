@@ -92,6 +92,10 @@ class TestSimulate:
             simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, -1.0)
         with pytest.raises(ValueError):
             simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, 1.0, dt_out=0.0)
+        with pytest.raises(ValueError):
+            simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, math.nan)
+        with pytest.raises(ValueError):
+            simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, 1.0, dt_out=math.nan)
 
     def test_rejects_policy_outside_bounds(self):
         with pytest.raises(ValueError):
@@ -99,6 +103,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(State(0.1, 0.1),
                      PiecewiseConstantControl(((0.0, 0.1), (1.0, 0.01))),
+                     RATES, 2.0)
+        with pytest.raises(ValueError):
+            simulate(State(0.1, 0.1), ConstantControl(math.nan), RATES, 1.0)
+        with pytest.raises(ValueError):
+            simulate(State(0.1, 0.1),
+                     PiecewiseConstantControl(((0.0, 0.1), (1.0, math.nan))),
                      RATES, 2.0)
 
     def test_stop_event_truncates(self):
@@ -204,6 +214,21 @@ class TestScipyParity:
             simulate(State(0.3, 0.2), NanAfterFive(), RATES, 20.0)
         assert exc.value.at_time == pytest.approx(5.0, abs=1e-12)  # a few minimum steps
 
+    def test_nan_control_from_the_start_raises_at_zero(self):
+        # A NaN derivative at t = 0 makes the first step size NaN.
+        class AlwaysNan:
+            kernel, u_range = None, (RATES.u_min, RATES.u_max)
+
+            def control(self, t, m, h):
+                return math.nan + 0.0 * np.asarray(t)
+
+            def breakpoints_within(self, horizon):
+                return []
+
+        with pytest.raises(SimulationError) as exc:
+            simulate(State(0.3, 0.2), AlwaysNan(), RATES, 20.0)
+        assert exc.value.at_time == 0.0
+
     @pytest.mark.parametrize("tol, name", [
         ({"rtol": 1e-15}, "rtol"), ({"rtol": math.nan}, "rtol"), ({"atol": -1e-12}, "atol"),
         ({"atol": math.nan}, "atol"),
@@ -251,6 +276,8 @@ class TestPolicies:
             PiecewiseConstantControl(((1.0, 0.1),))
         with pytest.raises(ValueError):
             PiecewiseConstantControl(((0.0, 0.1), (0.0, 0.2)))
+        with pytest.raises(ValueError):
+            PiecewiseConstantControl(((0.0, 0.1), (math.nan, 0.2)))
 
     def test_piecewise_lookup(self):
         pw = PiecewiseConstantControl(((0.0, 0.1), (5.0, 0.2)))
@@ -365,6 +392,9 @@ class TestTrajectoryType:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(t=np.array([0.0, 2.0, 1.0]), m=np.zeros(3), h=np.zeros(3),
+                       u=np.zeros(3), dt_out=1.0)
+        with pytest.raises(ValueError):
+            Trajectory(t=np.array([0.0, math.nan, 2.0]), m=np.zeros(3), h=np.zeros(3),
                        u=np.zeros(3), dt_out=1.0)
 
     def test_rejects_nonzero_start(self):
