@@ -13,11 +13,25 @@ Three regimes arise depending on the cap H_bar on infected humans:
 The frontier is held as one polyline, the flat cap over [0, M_bar] joined
 with the sampled curve, which answers membership, height and distance
 queries alike.
+
+Membership and distance take arrays, broadcast over all segments, or one
+point of two finite floats, answered in plain Python with the same
+arithmetic per segment and so the same bits.  For one point the distance
+reads only the segments that can be nearest.  Along the polyline x rises
+and y falls, so segment i lies in the box [x_i, x_(i+1)] x [y_(i+1), y_i],
+and its distance from (m, h) is at least the box's gap in the max norm,
+max(x_i - m, m - x_(i+1), y_(i+1) - h, h - y_i).  The segments under m and
+at height h give an upper bound b on the distance; the segments whose gap
+is at most b form one run of indices, found by bisection, as both x and y
+are monotone.  A short run is scanned in Python.  A long one, where a deep
+point sees much of the curve about equally far, goes through numpy.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +41,14 @@ from rossmac.ode import SimulationError, _dense, _dopri
 
 
 # Points per block of frontier_distance: a block's (points x segments)
-# temporaries stay small whatever the number of points.
+# temporaries stay small whatever the number of points.  Blocks of 256
+# measured slower than 64 on a 2001-point grid, each temporary then
+# being some 200 KiB.
 _DISTANCE_BLOCK = 64
+
+# Longest run of segments that the one-point distance scans in Python; a
+# longer one goes through numpy, which is then the faster of the two.
+_SCAN_MAX = 24
 
 # Backward time span allowed for the frontier orbit to leave the box.
 _FRONTIER_HORIZON = 1e4
@@ -38,6 +58,12 @@ class Regime(enum.Enum):
     LOW = "low"
     HIGH = "high"
     MEDIUM = "medium"
+
+
+def _is_point(m, h) -> bool:
+    """Whether (m, h) is one point of two finite floats (np.float64
+    included), which the queries answer without numpy."""
+    return isinstance(m, float) and isinstance(h, float) and math.isfinite(m) and math.isfinite(h)
 
 
 class FrontierIntegrationError(RuntimeError):
@@ -129,6 +155,9 @@ class KernelDescription:
     _segments: tuple[np.ndarray, ...] | None = field(
         default=None, repr=False, compare=False
     )
+    # xs, ys and -ys of the vertices, the np.interp slopes and (dx, dy, ux,
+    # uy) of the segments as lists, for the one-point queries.
+    _lists: tuple[list, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.H_bar < 1.0:
@@ -151,8 +180,13 @@ class KernelDescription:
         dx, dy = np.diff(xs), np.diff(ys)
         seg2 = dx * dx + dy * dy
         seg2 = np.where(seg2 > 0.0, seg2, 1.0)
+        segments = (xs[:-1], ys[:-1], dx, dy, dx / seg2, dy / seg2)
+        slopes = dy / np.where(dx > 0.0, dx, 1.0)  # np.interp's (unused where dx = 0)
         object.__setattr__(self, "_polyline", (xs, ys))
-        object.__setattr__(self, "_segments", (xs[:-1], ys[:-1], dx, dy, dx / seg2, dy / seg2))
+        object.__setattr__(self, "_segments", segments)
+        object.__setattr__(
+            self, "_lists", tuple(a.tolist() for a in (xs, ys, -ys, slopes, *segments[2:]))
+        )
 
     def frontier_value(self, m) -> np.ndarray:
         """Frontier height Y(m) read off the polyline; H_bar below M_bar
@@ -167,6 +201,8 @@ class KernelDescription:
         Points with m <= M_bar, including small negative drift, are held
         to the cap alone; beyond M_inf nothing is inside.
         """
+        if self._lists is not None and _is_point(m, h):
+            return m <= self.M_inf and h <= self._height(m)
         m, h = np.asarray(m, dtype=float), np.asarray(h, dtype=float)
         if self.regime is Regime.LOW:
             return (m == 0.0) & (h == 0.0)
@@ -179,26 +215,78 @@ class KernelDescription:
         upper frontier polyline, whether or not they lie in the kernel."""
         if self._segments is None:
             raise ValueError("distance to frontier is only defined for medium kernels")
+        if _is_point(m, h):
+            return self._point_distance(float(m), float(h))
         ax, ay = self._segments[:2]
-        m, h = np.asarray(m, dtype=float), np.asarray(h, dtype=float)
-        points = np.broadcast(m, h)
-        if points.size <= _DISTANCE_BLOCK:
+        m, h = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(h, dtype=float))
+        if m.size <= _DISTANCE_BLOCK:
             return self._nearest(m[..., None] - ax, h[..., None] - ay)
-        px, py = (a.reshape(-1, 1) for a in np.broadcast_arrays(m, h))
-        out = np.empty(points.size)
+        px, py = m.reshape(-1, 1), h.reshape(-1, 1)
+        out = np.empty(m.size)
         # Blocks of points bound the (points x segments) temporaries.
         for i in range(0, out.size, _DISTANCE_BLOCK):
             block = slice(i, i + _DISTANCE_BLOCK)
             out[block] = self._nearest(px[block] - ax, py[block] - ay)
-        return out.reshape(points.shape)
+        return out.reshape(m.shape)
 
     def _nearest(self, px, py) -> np.ndarray:
         """Point-to-segment distance minimised over the segments, given the
         offsets (px, py) of points from the segment starts, which run along
-        the last axis."""
+        the last axis.  Works in place on px and py, in squares up to one
+        square root after the minimum."""
         dx, dy, ux, uy = self._segments[2:]
-        t = np.minimum(np.maximum(px * ux + py * uy, 0.0), 1.0)
-        return np.hypot(px - t * dx, py - t * dy).min(-1)
+        t = px * ux
+        t += py * uy
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
+        px -= t * dx
+        py -= t * dy
+        px *= px
+        py *= py
+        px += py
+        return np.sqrt(px.min(-1))
+
+    def _height(self, m: float) -> float:
+        """np.interp(m, *self._polyline) for one float m, to the bit."""
+        xs, ys, _, slopes = self._lists[:4]
+        j = bisect_right(xs, m) - 1
+        if j < 0:
+            return ys[0]
+        if j == len(slopes) or xs[j] == m:
+            return ys[j]
+        return slopes[j] * (m - xs[j]) + ys[j]
+
+    def _point_distance(self, m: float, h: float) -> float:
+        """_nearest for one point, over the run of segments whose boxes lie
+        within an upper bound of its distance (see the module docstring)."""
+        xs, ys, nys, _, dx, dy, ux, uy = self._lists
+        n = len(dx)
+
+        def seg2(i: int) -> float:
+            px, py = m - xs[i], h - ys[i]
+            t = px * ux[i] + py * uy[i]
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            px -= t * dx[i]
+            py -= t * dy[i]
+            return px * px + py * py
+
+        # The segments under m and at height h bound the distance from above.
+        under = min(max(bisect_right(xs, m) - 1, 0), n - 1)
+        level = min(max(bisect_left(nys, -h) - 1, 0), n - 1)
+        best = min(seg2(under), seg2(level))
+        # The slack exceeds any rounding in the gaps and the distances, so
+        # that no segment the array path could pick falls outside the run.
+        b = math.sqrt(best) * (1.0 + 1e-9) + 1e-12
+        lo = max(bisect_left(xs, m - b), bisect_left(nys, -h - b), 1) - 1
+        hi = min(bisect_right(xs, m + b), bisect_right(nys, b - h), n)
+        if hi - lo > _SCAN_MAX:
+            ax, ay = self._segments[:2]
+            return float(self._nearest(m - ax, h - ay))
+        for i in range(lo, hi):
+            d2 = seg2(i)
+            if d2 < best:
+                best = d2
+        return math.sqrt(best)
 
 
 def boundary_curve(

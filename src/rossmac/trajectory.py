@@ -19,11 +19,12 @@ which takes scipy's RK45 steps and so makes the same `control` calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from rossmac.kernel import KernelDescription, Regime
+from rossmac.kernel import KernelDescription, Regime, _is_point
 from rossmac.model import ModelRates, State, g_h, g_m
 from rossmac.ode import SimulationError, _dense, _dopri  # noqa: F401 (SimulationError re-exported)
 
@@ -98,9 +99,15 @@ class SaturatingFeedback:
 
     def control(self, t, m, h):
         # Outside the kernel d counts as 0, which gives u = u_max exactly.
-        d = self.kernel.frontier_distance(m, h) * self.kernel.contains(m, h)
-        w = np.exp(-d)
-        return np.minimum(np.maximum((1.0 - w) * self.u_min + w * self.u_max, self.u_min), self.u_max)
+        # One point of floats takes the kernel's pure-Python queries; np.exp
+        # (not math.exp, which can differ in the last bit) keeps its u equal
+        # to the array call's.
+        k, lo, hi = self.kernel, self.u_min, self.u_max
+        if _is_point(m, h):
+            w = float(np.exp(-(k.frontier_distance(m, h) if k.contains(m, h) else 0.0)))
+            return min(max((1.0 - w) * lo + w * hi, lo), hi)
+        w = np.exp(-(k.frontier_distance(m, h) * k.contains(m, h)))
+        return np.minimum(np.maximum((1.0 - w) * lo + w * hi, lo), hi)
 
     def breakpoints_within(self, horizon: float) -> list[float]:
         return []
@@ -143,8 +150,10 @@ def simulate(
     between accepted steps stops the run, as scipy's terminal events do,
     and the final sample then sits at the event time instead of the horizon.
     """
-    if not (horizon > 0.0 and dt_out > 0.0):
-        raise ValueError("horizon and dt_out must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    if not dt_out > 0.0:
+        raise ValueError(f"dt_out must be positive, got {dt_out!r}")
     lo, hi = policy.u_range
     if not (rates.u_min <= lo and hi <= rates.u_max):
         raise ValueError(

@@ -240,7 +240,7 @@ class TestSimulate:
     @pytest.mark.parametrize("key, value, named", [
         ("u", "nan", "controls"), ("schedule", "0:nan", "controls"),
         ("schedule", "0:0.02,nan:0.03", "schedule"), ("horizon", "nan", "horizon"),
-        ("dt_out", "nan", "dt_out"),
+        ("dt_out", "nan", "dt_out"), ("horizon", "inf", "horizon must be positive and finite"),
     ])
     def test_nan_setting_exits_2(self, tmp_path, capsys, key, value, named):
         policy = "piecewise" if key == "schedule" else "constant"

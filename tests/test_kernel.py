@@ -35,6 +35,7 @@ from rossmac.model import ModelRates, State, g_h, g_m
 from rossmac.trajectory import ConstantControl, SaturatingFeedback, audit_viability, simulate
 
 from frontier_oracle import boundary_ode_values, least_cap, reversed_orbit_exit
+from parity_points import hard_points, same_bits
 from viability_grid import NODES, grid_viability_kernel
 
 MEDIUM_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733)
@@ -355,8 +356,9 @@ class TestDistance:
             inside = k.contains(points[:, 0], points[:, 1])
             assert inside.any() and not inside.all()
             got = k.frontier_distance(points[:, 0], points[:, 1])
-            for (m, h), d in zip(points, got):
-                assert abs(d - polyline_distance(xs, ys, float(m), float(h))) <= 1e-12
+            for (m, h), d in zip(points.tolist(), got):
+                oracle = polyline_distance(xs, ys, m, h)
+                assert abs(d - oracle) <= 1e-12 and abs(k.frontier_distance(m, h) - oracle) <= 1e-12
 
     @pytest.mark.parametrize(
         "n",
@@ -372,17 +374,32 @@ class TestDistance:
 
     @pytest.mark.parametrize(
         "m_shape, h_shape",
-        [((), ()), ((), (5,)), ((3, 1), (4,)), ((9, 1), (8,)), ((), (2 * _DISTANCE_BLOCK + 1,))],
+        [((), ()), ((), (5,)), ((3, 1), (4,)), ((9, 1), (8,)), ((), (2 * _DISTANCE_BLOCK + 1,)),
+         ("hard", "hard")],
     )
     def test_broadcast_shapes(self, medium_kernel, m_shape, h_shape):
-        rng = np.random.default_rng(len(m_shape) + len(h_shape))
-        m, h = rng.uniform(0.0, 1.0, m_shape), rng.uniform(0.0, 1.0, h_shape)
-        d = medium_kernel.frontier_distance(m, h)
+        k = medium_kernel
+        if m_shape == "hard":
+            m, h = np.array(hard_points(k)).T
+            m_shape = h_shape = m.shape
+        else:
+            rng = np.random.default_rng(len(m_shape) + len(h_shape))
+            m, h = rng.uniform(0.0, 1.0, m_shape), rng.uniform(0.0, 1.0, h_shape)
+        fb = SaturatingFeedback(k, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
         shape = np.broadcast_shapes(m_shape, h_shape)
-        assert np.shape(d) == shape
         bm, bh = np.broadcast_arrays(m, h)
-        for i in np.ndindex(shape):
-            assert d[i] == medium_kernel.frontier_distance(float(bm[i]), float(bh[i]))
+        # Non-finite points give NaN distances, with numpy's warning.
+        with np.errstate(invalid="ignore"):
+            d = k.frontier_distance(m, h)
+            assert np.shape(d) == shape
+            # A float call gives the bits of the array call, for the distance,
+            # membership and the feedback law alike.
+            arrays = d, k.contains(m, h), fb.control(0.0, m, h)
+            for i in np.ndindex(shape):
+                p = float(bm[i]), float(bh[i])
+                floats = k.frontier_distance(*p), k.contains(*p), fb.control(0.0, *p)
+                for a, f in zip(arrays, floats):
+                    assert same_bits(a[i], f), p
 
 
 class TestRegimeDiagram:

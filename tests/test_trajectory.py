@@ -32,6 +32,8 @@ from rossmac.trajectory import (
     simulate,
 )
 
+from parity_points import hard_points, same_bits
+
 RATES = ModelRates(A_m=0.2, A_h=0.3, gamma=0.1, u_min=0.05, u_max=0.25)
 MEDIUM_RATES = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733)
 STRONG_RATES = dataclasses.replace(MEDIUM_RATES, u_max=0.3733)
@@ -96,6 +98,9 @@ class TestSimulate:
             simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, math.nan)
         with pytest.raises(ValueError):
             simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, 1.0, dt_out=math.nan)
+        for horizon in (math.inf, -math.inf, 0.0):
+            with pytest.raises(ValueError, match="horizon"):
+                simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, horizon)
 
     def test_rejects_policy_outside_bounds(self):
         with pytest.raises(ValueError):
@@ -345,20 +350,23 @@ class TestFeedbackControl:
         # Kernel states: below the cap up to M_bar, below the curve beyond it.
         below = data.draw(st.lists(st.tuples(st.floats(0.0, k.M_inf), unit), max_size=100))
         kernel = [(m, f * float(k.frontier_value(max(m, k.M_bar)))) for m, f in below]
-        points = [(0.9, 0.4)] + box + kernel
+        hard = hard_points(k)
+        points = [(0.9, 0.4)] + hard + box + kernel
         m, h = np.array(points).T
         fb = SaturatingFeedback(k, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
-        inside, dist, u = k.contains(m, h), k.frontier_distance(m, h), fb.control(0.0, m, h)
-        assert inside.shape == dist.shape == u.shape == m.shape
-        for i, (mi, hi) in enumerate(points):
-            assert inside[i] == k.contains(mi, hi)
-            assert dist[i] == k.frontier_distance(mi, hi)
-            assert u[i] == fb.control(0.0, mi, hi)
-            if inside[i]:
-                assert dist[i] == distance_to_frontier(k, State(mi, hi))
+        # The hard points include non-finite ones, whose distance is NaN.
+        with np.errstate(invalid="ignore"):
+            inside, dist, u = k.contains(m, h), k.frontier_distance(m, h), fb.control(0.0, m, h)
+            assert inside.shape == dist.shape == u.shape == m.shape
+            for i, (mi, hi) in enumerate(points):
+                assert same_bits(inside[i], k.contains(mi, hi))
+                assert same_bits(dist[i], k.frontier_distance(mi, hi))
+                assert same_bits(u[i], fb.control(0.0, mi, hi))
+                if inside[i] and i > len(hard):  # states, which lie in the unit square
+                    assert dist[i] == distance_to_frontier(k, State(mi, hi))
         assert not inside[0] and u[0] == MEDIUM_RATES.u_max
-        assert np.all(inside[len(box) + 1 :])
-        assert np.all(u[~inside] == MEDIUM_RATES.u_max)
+        assert np.all(inside[len(hard) + len(box) + 1 :])
+        assert np.all(u[~inside & np.isfinite(m) & np.isfinite(h)] == MEDIUM_RATES.u_max)
 
 
 class TestAudit:
