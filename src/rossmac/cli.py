@@ -6,11 +6,12 @@ individual keys can be overridden on the command line with repeated
 `key=value` lines, diagnostics to stderr, and CSV/SVG artifacts to the
 output directory.
 
-Exit codes: 0 success, 2 invalid configuration (every ValueError that
-reaches `main`, raised here or by the library on a bad input), 3 boundary
-requested outside the medium regime, 4 feedback policy outside the medium
-regime, 5 malformed incidence CSV, one of fewer than two days or one whose
-prevalence exceeds population, 1 any other runtime failure.
+Exit codes: 0 success, 2 invalid configuration (a key that `COMMANDS` does
+not list for the command, named with its `file:line` or `--set`, and every
+ValueError that reaches `main`, raised here or by the library on a bad
+input), 3 boundary requested outside the medium regime, 4 feedback policy
+outside the medium regime, 5 malformed incidence CSV, one of fewer than two
+days or one whose prevalence exceeds population, 1 any other runtime failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,80 +45,104 @@ EXIT_NOT_MEDIUM_FEEDBACK = 4
 EXIT_BAD_CSV = 5
 
 
+class NotMediumError(Exception):
+    """A frontier or a feedback policy requested outside the medium regime."""
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
+def load_config(path: str | None, overrides: list[str], command: str) -> dict[str, str]:
+    """The file's `key = value` lines, then the `--set` items, which win.
+    A key that `command` does not read is refused, naming where it came from."""
+    if path is not None and not Path(path).exists():
+        raise ValueError(f"config file not found: {path}")
+    lines = Path(path).read_text().splitlines() if path is not None else []
+    items = [(f"{path}:{n}", line.split("#", 1)[0]) for n, line in enumerate(lines, start=1)]
     cfg: dict[str, str] = {}
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ValueError(f"config file not found: {path}")
-        for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
-    for item in overrides:
+    for where, item in items + [("--set", item) for item in overrides]:
+        if not item.strip():
+            continue  # a blank or comment-only line
         if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        cfg[key.strip()] = value.strip()
+            raise ValueError(f"{where}: expected key=value, got {item.strip()!r}")
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key not in COMMANDS[command][1]:
+            raise ValueError(f"{where}: {command} does not read key {key!r}")
+        cfg[key] = value
     return cfg
 
 
-def _get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
+def _get(cfg: dict[str, str], key: str, default=None, parse=float):
+    """`cfg[key]` read by `parse`, or `default` when the key is absent;
+    with no default the key is required."""
     if key not in cfg:
-        if default is not None:
-            return default
-        raise ValueError(f"missing required key: {key}")
+        if default is None:
+            raise ValueError(f"missing required key: {key}")
+        return default
     try:
-        return float(cfg[key])
+        return parse(cfg[key])
     except ValueError as exc:
-        raise ValueError(f"invalid value for key {key}: {cfg[key]!r}") from exc
+        raise ValueError(f"invalid value for key {key}: {cfg[key]!r} ({exc})") from exc
+
+
+def _count(text: str) -> int:
+    """A positive integer, such as `60` or `2.4e6`."""
+    value = float(text)
+    if not (value > 0.0 and value.is_integer()):
+        raise ValueError("not a positive integer")
+    return int(value)
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
+def _grid(spec: str) -> list[float]:
+    """`lo:hi:n` for n evenly spaced values, or `v,v,...`."""
+    if ":" in spec:
+        lo, hi, n = spec.split(":")
+        return list(np.linspace(float(lo), float(hi), int(n)))
+    return [float(v) for v in spec.split(",")]
+
+
+def _schedule(spec: str) -> PiecewiseConstantControl:
+    """`t:u,t:u,...` breakpoints of a piecewise-constant control."""
+    pairs = (item.split(":") for item in spec.split(","))
+    return PiecewiseConstantControl(tuple((float(t), float(u)) for t, u in pairs))
 
 
 def rates_from_config(cfg: dict[str, str]) -> ModelRates:
-    """Either reduced rates (A_m, A_h, gamma, u_min, u_max) or raw
-    parameters (alpha, p_h, p_m, xi, delta, gamma, u_max)."""
-    if "A_m" in cfg or "A_h" in cfg:
-        return ModelRates(
-            A_m=_get_float(cfg, "A_m"),
-            A_h=_get_float(cfg, "A_h"),
-            gamma=_get_float(cfg, "gamma"),
-            u_min=_get_float(cfg, "u_min", 0.0),
-            u_max=_get_float(cfg, "u_max"),
-        )
-    params = EpiParams(
-        alpha=_get_float(cfg, "alpha"),
-        p_h=_get_float(cfg, "p_h"),
-        p_m=_get_float(cfg, "p_m"),
-        xi=_get_float(cfg, "xi"),
-        delta=_get_float(cfg, "delta"),
-        gamma=_get_float(cfg, "gamma"),
-    )
-    return derive_rates(params, _get_float(cfg, "u_max"))
+    """Reduced rates if A_m or A_h is given (u_min 0 unless given), else raw
+    parameters (u_min is delta).  A key of the other form alone is refused."""
+    form = _REDUCED if "A_m" in cfg or "A_h" in cfg else _RAW
+    unread = [key for key in _RATES if key in cfg and key not in form]
+    if unread:
+        raise ValueError(f"key {unread[0]!r} is not read with the rates {', '.join(form)}")
+    values = {key: _get(cfg, key, 0.0 if key == "u_min" else None) for key in form}
+    if form is _REDUCED:
+        return ModelRates(**values)
+    u_max = values.pop("u_max")
+    return derive_rates(EpiParams(**values), u_max)
 
 
 def _tolerances(cfg: dict[str, str]) -> dict[str, float]:
     """Integrator tolerances from the rtol/atol keys.  Those not given are
     left out, so each library function keeps its own default."""
-    return {key: _get_float(cfg, key) for key in ("rtol", "atol") if key in cfg}
+    return {key: _get(cfg, key) for key in ("rtol", "atol") if key in cfg}
 
 
-def _out_dir(cfg: dict[str, str], out_flag: str | None) -> Path:
-    out = Path(out_flag or cfg.get("out", "."))
+def _out_dir(args) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_classify(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
-    H_bar = _get_float(cfg, "H_bar")
+    H_bar = _get(cfg, "H_bar")
     regime = classify_regime(rates, H_bar)
     lower, upper = regime_thresholds(rates)
     print(f"regime={regime.value}")
@@ -161,22 +187,23 @@ def _write_kernel_svg(path: Path, desc) -> None:
 
 
 def _kernel_from_config(cfg: dict[str, str], rates: ModelRates):
-    """The one kernel request of `boundary` and feedback `simulate`."""
-    return build_kernel(rates, _get_float(cfg, "H_bar"), step=_get_float(cfg, "step", 1e-3),
+    """The one kernel request of `boundary` and feedback `simulate`, both
+    of which need the medium regime."""
+    desc = build_kernel(rates, _get(cfg, "H_bar"), step=_get(cfg, "step", 1e-3),
                         **_tolerances(cfg))
+    if desc.regime is not Regime.MEDIUM:
+        kernel = "the origin only" if desc.regime is Regime.LOW else "the whole constraint box"
+        raise NotMediumError(f"regime {desc.regime.value}: the kernel is {kernel}, not medium")
+    return desc
 
 
 def cmd_boundary(cfg: dict[str, str], args) -> int:
+    svg = _get(cfg, "svg", False, _flag)
     desc = _kernel_from_config(cfg, rates_from_config(cfg))
-    if desc.regime is not Regime.MEDIUM:
-        kernel = "the origin only" if desc.regime is Regime.LOW else "the whole constraint box"
-        print(f"regime {desc.regime.value}: the kernel is {kernel}; no frontier curve to compute",
-              file=sys.stderr)
-        return EXIT_NOT_MEDIUM_BOUNDARY
-    out = _out_dir(cfg, args.out)
+    out = _out_dir(args)
     csv_path = out / "frontier.csv"
     _write_frontier_csv(csv_path, desc.frontier_m, desc.frontier_y)
-    if cfg.get("svg", "false").lower() in ("1", "true", "yes"):
+    if svg:
         _write_kernel_svg(out / "kernel.svg", desc)
     print(f"regime={desc.regime.value}")
     print(f"m_bar={_fmt(desc.M_bar)}")
@@ -187,44 +214,27 @@ def cmd_boundary(cfg: dict[str, str], args) -> int:
 
 
 def _policy_from_config(cfg, rates):
-    kind = cfg.get("policy", "constant").lower()
+    kind = _get(cfg, "policy", "constant", str.lower)
     if kind == "constant":
-        return ConstantControl(_get_float(cfg, "u", rates.u_max))
+        return ConstantControl(_get(cfg, "u", rates.u_max))
     if kind == "piecewise":
-        spec = cfg.get("schedule")
-        if spec is None:
-            raise ValueError("missing required key: schedule")
-        try:
-            pairs = tuple(
-                (float(p.split(":")[0]), float(p.split(":")[1]))
-                for p in spec.split(",")
-            )
-            return PiecewiseConstantControl(pairs)
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"invalid value for key schedule: {spec!r}") from exc
+        return _get(cfg, "schedule", parse=_schedule)
     if kind == "feedback":
-        desc = _kernel_from_config(cfg, rates)
-        if desc.regime is not Regime.MEDIUM:
-            print(f"feedback policy requires the medium regime (regime is {desc.regime.value})",
-                  file=sys.stderr)
-            return None  # caller maps this to the feedback exit code
-        return SaturatingFeedback(desc, rates.u_min, rates.u_max)
+        return SaturatingFeedback(_kernel_from_config(cfg, rates), rates.u_min, rates.u_max)
     raise ValueError(f"invalid value for key policy: {kind!r}")
 
 
 def cmd_simulate(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
-    H_bar = _get_float(cfg, "H_bar")
+    H_bar = _get(cfg, "H_bar")
     if not 0.0 < H_bar < 1.0:
         raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
-    initial = State(m=_get_float(cfg, "m0"), h=_get_float(cfg, "h0"))
-    horizon = _get_float(cfg, "horizon")
-    dt_out = _get_float(cfg, "dt_out", 0.1)
+    initial = State(m=_get(cfg, "m0"), h=_get(cfg, "h0"))
+    horizon = _get(cfg, "horizon")
+    dt_out = _get(cfg, "dt_out", 0.1)
     policy = _policy_from_config(cfg, rates)
-    if policy is None:
-        return EXIT_NOT_MEDIUM_FEEDBACK
     traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **_tolerances(cfg))
-    csv_path = _out_dir(cfg, args.out) / "trajectory.csv"
+    csv_path = _out_dir(args) / "trajectory.csv"
     _write_csv(csv_path, ["t", "m", "h", "u"],
                ([_fmt(v) for v in row] for row in zip(traj.t, traj.m, traj.h, traj.u)))
     violation = audit_viability(traj, H_bar)
@@ -235,24 +245,11 @@ def cmd_simulate(cfg: dict[str, str], args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> list[float]:
-    if ":" in spec:
-        lo, hi, n = spec.split(":")
-        return list(np.linspace(float(lo), float(hi), int(n)))
-    return [float(v) for v in spec.split(",")]
-
-
 def cmd_diagram(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
-    if "u_grid" not in cfg or "H_grid" not in cfg:
-        missing = "u_grid" if "u_grid" not in cfg else "H_grid"
-        raise ValueError(f"missing required key: {missing}")
-    try:
-        u_grid, H_grid = _parse_grid(cfg["u_grid"]), _parse_grid(cfg["H_grid"])
-        grid = regime_diagram(rates, u_grid, H_grid)
-    except ValueError as exc:
-        raise ValueError(f"invalid grid: {exc}") from exc
-    csv_path = _out_dir(cfg, args.out) / "diagram.csv"
+    u_grid, H_grid = _get(cfg, "u_grid", parse=_grid), _get(cfg, "H_grid", parse=_grid)
+    grid = regime_diagram(rates, u_grid, H_grid)
+    csv_path = _out_dir(args) / "diagram.csv"
     _write_csv(csv_path, ["u", "H", "regime"],
                ([_fmt(u), _fmt(H), regime.value]
                 for H, row in zip(H_grid, grid) for u, regime in zip(u_grid, row)))
@@ -263,30 +260,26 @@ def cmd_diagram(cfg: dict[str, str], args) -> int:
 def cmd_fit(cfg: dict[str, str], args) -> int:
     from rossmac import estimation
 
-    if "incidence" not in cfg:
-        raise ValueError("missing required key: incidence")
-    population = _get_float(cfg, "population")
-    gamma = _get_float(cfg, "gamma", estimation.DEFAULT_GAMMA)
-    window = _get_float(cfg, "fit_days", estimation.FIT_WINDOW_DAYS)
-    for key, value in (("population", population), ("fit_days", window)):
-        if not value > 0.0 or not float(value).is_integer():
-            raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    incidence = _get(cfg, "incidence", parse=str)
+    population = _get(cfg, "population", parse=_count)
+    gamma = _get(cfg, "gamma", estimation.DEFAULT_GAMMA)
+    window = _get(cfg, "fit_days", estimation.FIT_WINDOW_DAYS, _count)
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     try:
-        series = estimation.read_incidence_csv(cfg["incidence"], int(population))
+        series = estimation.read_incidence_csv(incidence, population)
     except (OSError, ValueError) as exc:  # a file that is not UTF-8 text included
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_CSV
     try:
         data = estimation.incidence_to_prevalence(series, gamma=gamma)
-        head = slice(int(window) + 1)
+        head = slice(window + 1)
         data = estimation.PrevalenceDataset(days=data.days[head], h_hat=data.h_hat[head])
         result = estimation.fit(data, gamma=gamma)
     except ValueError as exc:
-        print(f"{cfg['incidence']}: {exc}", file=sys.stderr)
+        print(f"{incidence}: {exc}", file=sys.stderr)
         return EXIT_BAD_CSV
-    out = _out_dir(cfg, args.out)
+    out = _out_dir(args)
 
     h_model = estimation.simulate_h(
         result.theta_hat, float(data.h_hat[0]), data.days.astype(float), gamma=gamma
@@ -296,14 +289,8 @@ def cmd_fit(cfg: dict[str, str], args) -> int:
                ([int(d), _fmt(hh), _fmt(hm)] for d, hh, hm in zip(data.days, data.h_hat, h_model)))
 
     report_path = out / "fit_report.txt"
-    th = result.theta_hat
-    lines = [
-        f"alpha={_fmt(th.alpha)}",
-        f"p_h={_fmt(th.p_h)}",
-        f"p_m={_fmt(th.p_m)}",
-        f"xi={_fmt(th.xi)}",
-        f"delta={_fmt(th.delta)}",
-        f"gamma={_fmt(th.gamma)}",
+    lines = [f"{name}={_fmt(value)}" for name, value in asdict(result.theta_hat).items()]
+    lines += [
         f"A_m={_fmt(result.A_m)}",
         f"A_h={_fmt(result.A_h)}",
         f"objective={_fmt(result.objective_value)}",
@@ -318,12 +305,20 @@ def cmd_fit(cfg: dict[str, str], args) -> int:
     return 0
 
 
+# Each command's function and every key it reads; load_config refuses any
+# other.  Rates come reduced or raw (see rates_from_config), _KERNEL feeds
+# _kernel_from_config, and simulate reads the keys of all three policies.
+_REDUCED = ("A_m", "A_h", "gamma", "u_min", "u_max")
+_RAW = ("alpha", "p_h", "p_m", "xi", "delta", "gamma", "u_max")
+_RATES = tuple(dict.fromkeys(_REDUCED + _RAW))
+_KERNEL = ("H_bar", "step", "rtol", "atol")
 COMMANDS = {
-    "classify": cmd_classify,
-    "boundary": cmd_boundary,
-    "simulate": cmd_simulate,
-    "diagram": cmd_diagram,
-    "fit": cmd_fit,
+    "classify": (cmd_classify, (*_RATES, "H_bar")),
+    "boundary": (cmd_boundary, (*_RATES, *_KERNEL, "svg")),
+    "simulate": (cmd_simulate, (*_RATES, *_KERNEL, "m0", "h0", "horizon", "dt_out", "policy",
+                                "u", "schedule")),
+    "diagram": (cmd_diagram, (*_RATES, "u_grid", "H_grid")),
+    "fit": (cmd_fit, ("incidence", "population", "gamma", "fit_days")),
 }
 
 
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--out", help="output directory (default: '.')")
+        p.add_argument("--out", default=".", help="output directory (default: '.')")
         p.add_argument(
             "--set",
             action="append",
@@ -351,11 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.set)
-        return COMMANDS[args.command](cfg, args)
+        cfg = load_config(args.config, args.set, args.command)
+        return COMMANDS[args.command][0](cfg, args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except NotMediumError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NOT_MEDIUM_BOUNDARY if args.command == "boundary" else EXIT_NOT_MEDIUM_FEEDBACK
     except Exception as exc:  # noqa: BLE001 - surface as exit code, not traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -199,26 +199,34 @@ class KernelDescription:
         """Whether points (m, h), scalars or arrays, lie in the closed kernel.
 
         Points with m <= M_bar, including small negative drift, are held
-        to the cap alone; beyond M_inf nothing is inside.
+        to the cap alone; beyond M_inf nothing is inside, and neither is a
+        point with an infinite or NaN coordinate.
         """
         if self._lists is not None and _is_point(m, h):
             return m <= self.M_inf and h <= self._height(m)
         m, h = np.asarray(m, dtype=float), np.asarray(h, dtype=float)
         if self.regime is Regime.LOW:
             return (m == 0.0) & (h == 0.0)
+        finite = np.isfinite(m) & np.isfinite(h)
         if self.regime is Regime.HIGH:
-            return h <= self.H_bar
-        return (m <= self.M_inf) & (h <= np.interp(m, *self._polyline))
+            return finite & (h <= self.H_bar)
+        return finite & (m <= self.M_inf) & (h <= np.interp(m, *self._polyline))
 
     def frontier_distance(self, m, h) -> np.ndarray:
         """Euclidean distance from points (m, h), scalars or arrays, to the
-        upper frontier polyline, whether or not they lie in the kernel."""
+        upper frontier polyline, whether or not they lie in the kernel: inf
+        for a point with an infinite coordinate, NaN for one with a NaN."""
         if self._segments is None:
             raise ValueError("distance to frontier is only defined for medium kernels")
         if _is_point(m, h):
             return self._point_distance(float(m), float(h))
         ax, ay = self._segments[:2]
         m, h = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(h, dtype=float))
+        bad = ~(np.isfinite(m) & np.isfinite(h))
+        if bad.any():
+            # |m| + |h| is inf or NaN exactly there; [()] keeps a 0-d result a scalar.
+            d = self.frontier_distance(np.where(bad, 0.0, m), np.where(bad, 0.0, h))
+            return np.where(bad, np.abs(m) + np.abs(h), d)[()]
         if m.size <= _DISTANCE_BLOCK:
             return self._nearest(m[..., None] - ax, h[..., None] - ay)
         px, py = m.reshape(-1, 1), h.reshape(-1, 1)
@@ -418,7 +426,7 @@ def regime_diagram(
     """Regime per (u_max, H_bar) grid cell, row-major over H then u."""
     u, H = np.fromiter(u_grid, float), np.fromiter(H_grid, float)
     if u.size == 0 or H.size == 0:
-        raise ValueError("grids must be nonempty")
+        raise ValueError("u_grid and H_grid must be nonempty")
     if not np.all((H > 0.0) & (H < 1.0)):
         raise ValueError("every H_bar of the grid must lie in (0, 1)")
     if not np.all(np.isfinite(u) & (u >= 0.0)):

@@ -167,6 +167,13 @@ class TestBoundary:
         svg = (tmp_path / "kernel.svg").read_text()
         assert svg.startswith("<svg") and "path" in svg
 
+    @pytest.mark.parametrize("value", ["maybe", "yes", "1"])
+    def test_svg_is_true_or_false(self, tmp_path, capsys, value):
+        code, _, err = run("boundary", tmp_path, {**MEDIUM, "svg": value}, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "key svg" in err and "true or false" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     BASE = {
@@ -249,6 +256,23 @@ class TestSimulate:
         assert code == cli.EXIT_BAD_CONFIG
         assert named in err
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("dt_out", ["1e-300", "5e-324"])
+    def test_tiny_dt_out_exits_2_naming_it(self, tmp_path, capsys, dt_out):
+        code, _, err = run("simulate", tmp_path, {**self.BASE, "dt_out": dt_out}, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert f"dt_out={float(dt_out)!r}" in err and "samples" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("policy", ["constant", "piecewise", "feedback"])
+    def test_reads_every_key_of_every_policy(self, tmp_path, capsys, policy):
+        cfg = {**self.BASE, "policy": policy, "u": "0.02", "schedule": "0:0.02,10:0.03",
+               "step": "1e-3", "rtol": "1e-9", "atol": "1e-12"}
+        code, _, err = run("simulate", tmp_path, cfg, capsys)
+        assert code == 0, err
+        code, _, err = run("simulate", tmp_path / "svg", {**cfg, "svg": "false"}, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "simulate does not read key 'svg'" in err
 
 
 class TestDiagram:
@@ -380,6 +404,50 @@ class TestFit:
         assert "utf-8" in err
 
 
+class TestUnreadKeys:
+    # A call of each command, and keys that it does not read.
+    CALLS = {
+        "classify": (MEDIUM, ["Hbar", "rtol"]),
+        "boundary": (MEDIUM, ["u", "H_grid"]),
+        "simulate": ({**MEDIUM, "m0": "0.1", "h0": "0.2", "horizon": "5"}, ["svg", "Horizon"]),
+        "diagram": ({**{k: v for k, v in MEDIUM.items() if k != "H_bar"},
+                     "u_grid": "0.02", "H_grid": "0.5"}, ["H_bar", "step"]),
+        "fit": ({"incidence": "cases.csv", "population": "1000"}, ["u_max", "dt_out"]),
+    }
+
+    @pytest.mark.parametrize("command, key",
+                             [(c, key) for c, (_, keys) in CALLS.items() for key in keys])
+    def test_set_key_exits_2_naming_it(self, tmp_path, capsys, command, key):
+        cfg, _ = self.CALLS[command]
+        code, out, err = run(command, tmp_path, {**cfg, key: "3"}, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert f"--set: {command} does not read key {key!r}" in err
+        assert out == {} and list(tmp_path.iterdir()) == []
+
+    def test_file_key_exits_2_naming_its_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text("# Cali rates\nA_m = 0.02906\n\nHbar = 0.5  # the cap\n")
+        code = cli.main(["classify", "--config", str(cfg_file), "--set", "H_bar=0.5"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_BAD_CONFIG
+        assert f"{cfg_file}:4: classify does not read key 'Hbar'" in err
+
+    def test_out_is_a_flag_not_a_key(self, tmp_path, capsys):
+        code, _, err = run("boundary", tmp_path / "flag", {**MEDIUM, "out": str(tmp_path / "key")},
+                           capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert "boundary does not read key 'out'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra", [{"u_min": "0.01"}, {"A_m": "0.05"}])
+    def test_rate_forms_do_not_mix(self, tmp_path, capsys, extra):
+        raw = {"alpha": "0.3365", "p_h": "0.2287", "p_m": "0.1532", "xi": "1.0359",
+               "delta": "0.0333", "gamma": "0.1", "u_max": "0.05", "H_bar": "0.9"}
+        code, _, err = run("classify", tmp_path, {**raw, **extra}, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert ("'u_min'" if "u_min" in extra else "'alpha'") in err
+
+
 class TestConfigHandling:
     def test_set_overrides_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"
@@ -409,9 +477,10 @@ def test_classify_and_diagram_load_no_scipy(tmp_path):
     """Every command but fit, run in a fresh process, never imports scipy:
     classify, diagram, boundary, and constant and feedback simulate."""
     sets = [f"--set={k}={v}" for k, v in MEDIUM.items()]
+    rates = [arg for arg in sets if not arg.startswith("--set=H_bar=")]  # diagram reads no H_bar
     start = ["--set=m0=0.2", "--set=h0=0.1", "--set=horizon=20"]
     runs = [["classify", *sets],
-            ["diagram", "--out", str(tmp_path), *sets, "--set=u_grid=0:0.1:3", "--set=H_grid=0.2,0.6"],
+            ["diagram", "--out", str(tmp_path), *rates, "--set=u_grid=0:0.1:3", "--set=H_grid=0.2,0.6"],
             ["boundary", "--out", str(tmp_path), *sets],
             ["simulate", "--out", str(tmp_path / "constant"), *sets, *start, "--set=policy=constant"],
             ["simulate", "--out", str(tmp_path / "feedback"), *sets, *start, "--set=policy=feedback"]]

@@ -388,18 +388,37 @@ class TestDistance:
         fb = SaturatingFeedback(k, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
         shape = np.broadcast_shapes(m_shape, h_shape)
         bm, bh = np.broadcast_arrays(m, h)
-        # Non-finite points give NaN distances, with numpy's warning.
-        with np.errstate(invalid="ignore"):
+        # The hard points' non-finite ones lie outside the kernel, at distance
+        # inf (NaN with a NaN coordinate), and get u_max, without a warning.
+        d = k.frontier_distance(m, h)
+        assert np.shape(d) == shape
+        # A float call gives the bits of the array call, for the distance,
+        # membership and the feedback law alike.
+        arrays = d, k.contains(m, h), fb.control(0.0, m, h)
+        for i in np.ndindex(shape):
+            p = float(bm[i]), float(bh[i])
+            floats = k.frontier_distance(*p), k.contains(*p), fb.control(0.0, *p)
+            for a, f in zip(arrays, floats):
+                assert same_bits(a[i], f), p
+
+    def test_non_finite_points_lie_outside(self, medium_kernel):
+        k = medium_kernel
+        fb = SaturatingFeedback(k, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
+        inf, nan = math.inf, math.nan
+        points = [(0.1, -inf), (0.1, inf), (-inf, 0.1), (inf, 0.1), (inf, -inf), (nan, 0.1),
+                  (0.1, nan), (nan, inf)]
+        for m, h in points:
+            assert not k.contains(m, h)
             d = k.frontier_distance(m, h)
-            assert np.shape(d) == shape
-            # A float call gives the bits of the array call, for the distance,
-            # membership and the feedback law alike.
-            arrays = d, k.contains(m, h), fb.control(0.0, m, h)
-            for i in np.ndindex(shape):
-                p = float(bm[i]), float(bh[i])
-                floats = k.frontier_distance(*p), k.contains(*p), fb.control(0.0, *p)
-                for a, f in zip(arrays, floats):
-                    assert same_bits(a[i], f), p
+            assert np.ndim(d) == 0
+            assert math.isnan(d) if math.isnan(m) or math.isnan(h) else d == inf
+            assert fb.control(0.0, m, h) == MEDIUM_RATES.u_max
+        m, h = np.array(points + [(0.1, 0.1)]).T
+        assert not np.any(k.contains(m, h)[:-1]) and k.contains(m, h)[-1]
+        assert np.all(fb.control(0.0, m, h)[:-1] == MEDIUM_RATES.u_max)
+        assert k.frontier_distance(m, h)[-1] == k.frontier_distance(0.1, 0.1)
+        high = build_kernel(MEDIUM_RATES, 0.9)
+        assert not np.any(high.contains(m, h)[:-1]) and high.contains(0.1, 0.1)
 
 
 class TestRegimeDiagram:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from rossmac import trajectory
 from rossmac.kernel import (
     KernelDescription,
     Regime,
@@ -101,6 +102,17 @@ class TestSimulate:
         for horizon in (math.inf, -math.inf, 0.0):
             with pytest.raises(ValueError, match="horizon"):
                 simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, horizon)
+
+    def test_tiny_dt_out_named_before_allocating(self, monkeypatch):
+        for dt_out in (1e-300, 5e-324):
+            with pytest.raises(ValueError, match="dt_out"):
+                simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, 200.0, dt_out=dt_out)
+        # The cap counts horizon / dt_out samples: 100 pass, a few more do not.
+        monkeypatch.setattr(trajectory, "_MAX_SAMPLES", 100)
+        traj = simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, 10.0, dt_out=0.1)
+        assert traj.t.size == 101
+        with pytest.raises(ValueError, match="dt_out=0.099"):
+            simulate(State(0.1, 0.1), ConstantControl(0.1), RATES, 10.0, dt_out=0.099)
 
     def test_rejects_policy_outside_bounds(self):
         with pytest.raises(ValueError):
@@ -354,19 +366,19 @@ class TestFeedbackControl:
         points = [(0.9, 0.4)] + hard + box + kernel
         m, h = np.array(points).T
         fb = SaturatingFeedback(k, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
-        # The hard points include non-finite ones, whose distance is NaN.
-        with np.errstate(invalid="ignore"):
-            inside, dist, u = k.contains(m, h), k.frontier_distance(m, h), fb.control(0.0, m, h)
-            assert inside.shape == dist.shape == u.shape == m.shape
-            for i, (mi, hi) in enumerate(points):
-                assert same_bits(inside[i], k.contains(mi, hi))
-                assert same_bits(dist[i], k.frontier_distance(mi, hi))
-                assert same_bits(u[i], fb.control(0.0, mi, hi))
-                if inside[i] and i > len(hard):  # states, which lie in the unit square
-                    assert dist[i] == distance_to_frontier(k, State(mi, hi))
+        # The hard points include non-finite ones, which lie outside the
+        # kernel at distance inf or NaN.
+        inside, dist, u = k.contains(m, h), k.frontier_distance(m, h), fb.control(0.0, m, h)
+        assert inside.shape == dist.shape == u.shape == m.shape
+        for i, (mi, hi) in enumerate(points):
+            assert same_bits(inside[i], k.contains(mi, hi))
+            assert same_bits(dist[i], k.frontier_distance(mi, hi))
+            assert same_bits(u[i], fb.control(0.0, mi, hi))
+            if inside[i] and i > len(hard):  # states, which lie in the unit square
+                assert dist[i] == distance_to_frontier(k, State(mi, hi))
         assert not inside[0] and u[0] == MEDIUM_RATES.u_max
         assert np.all(inside[len(hard) + len(box) + 1 :])
-        assert np.all(u[~inside & np.isfinite(m) & np.isfinite(h)] == MEDIUM_RATES.u_max)
+        assert np.all(u[~inside] == MEDIUM_RATES.u_max)
 
 
 class TestAudit:
