@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-# estimation imports scipy, which takes most of a second, so only fit imports
-# it; every other command loads numpy alone.
+# Only fit imports estimation, and estimation.fit imports scipy, which takes
+# most of a second; estimation itself still costs 6-17 ms to import, so every
+# other command loads neither.
 from rossmac.kernel import (
     Regime,
     build_kernel,

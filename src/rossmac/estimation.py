@@ -11,10 +11,12 @@ over theta = (alpha, p_h, p_m, xi, delta) inside box bounds, with the
 mosquito state initialized as m(0) = 3*h_hat_0.  Only the reduced rates
 A_m = alpha*p_m, A_h = alpha*p_h*xi and delta enter the dynamics, so only
 those are identifiable and they are the primary deliverable of a fit.  The
-forward sensitivities are taken in those rates; theta follows by the chain rule.
-Every trajectory is integrated with DOP853 at rtol=1e-10, atol=1e-12, and the
-fit makes one sensitivity solve per trust-region point: its residuals and
-Jacobian both read the same 8-state solution.
+sensitivities are taken in those rates; theta follows by the chain rule.
+Every trajectory is integrated by the Dormand-Prince loop of `rossmac.ode` at
+rtol=1e-10, atol=1e-12, and the sensitivities are carried through that
+solve's own steps.  The fit makes one solve per trust-region point: its
+residuals and Jacobian both read it.  Only `fit` imports scipy, for its
+trust-region reflective solver.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import least_squares
 
 from rossmac.model import EpiParams, ModelRates, g_h, g_m
+from rossmac.ode import _A, _dense, _dopri
 
 # Admissible box for theta = (alpha, p_h, p_m, xi, delta) and the default
 # starting point of the optimizer.
@@ -121,8 +122,9 @@ def _theta_array(theta) -> np.ndarray:
 def _reduced_rates(theta: np.ndarray, gamma: float) -> ModelRates:
     """The rates A_m = alpha*p_m and A_h = alpha*p_h*xi of theta, with the
     mosquito death rate fixed at delta.  Unlike EpiParams, ModelRates
-    accepts the optimizer's trial points with p_h or p_m above 1."""
-    alpha, p_h, p_m, xi, delta = theta
+    accepts the optimizer's trial points with p_h or p_m above 1.  The rates
+    are Python floats, on which the integrator's scalar steps run fastest."""
+    alpha, p_h, p_m, xi, delta = theta.tolist()
     return ModelRates(A_m=alpha * p_m, A_h=alpha * p_h * xi, gamma=gamma, u_min=delta, u_max=delta)
 
 
@@ -134,27 +136,22 @@ def _reduced_rates_jacobian(theta: np.ndarray) -> np.ndarray:
                      [0.0, 0.0, 0.0, 0.0, 1.0]])
 
 
-def _integrate(rhs, n_states: int, h0: float, t_eval: np.ndarray) -> np.ndarray:
-    """The states of z' = rhs(t, z) at t_eval, one row each, from
-    m(0) = 3*h0, h(0) = h0 and 0 for any further state."""
-    z0 = np.zeros(n_states)
-    z0[:2] = MOSQUITO_INIT_FACTOR * h0, h0
-    sol = solve_ivp(rhs, (0.0, float(t_eval[-1]) if t_eval[-1] > 0 else 1.0), z0,
-                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
-    if sol.status != 0:
-        raise RuntimeError(f"prevalence simulation failed: {sol.message}")
-    return sol.sol(t_eval)
+def _steps(rates: ModelRates, h0: float, t_end: float) -> np.ndarray:
+    """The accepted steps of (m, h) from m(0) = 3*h0, h(0) = h0 to t_end
+    (to 1 if t_end is 0), as rows of `ode._dense`."""
+    def rhs(t, m, h):
+        return g_m(m, h, rates.u_max, rates), g_h(m, h, rates)
+
+    steps: list[tuple] = []
+    _dopri(rhs, 0.0, (MOSQUITO_INIT_FACTOR * h0, h0), t_end if t_end > 0 else 1.0,
+           1e-10, 1e-12, None, steps)
+    return np.array(steps)
 
 
 def simulate_h(theta, h0: float, t_eval: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Human prevalence h(t_j; theta) with m(0) = 3*h0."""
     rates = _reduced_rates(_theta_array(theta), gamma)
-
-    def rhs(t, z):
-        m, h = z
-        return [g_m(m, h, rates.u_max, rates), g_h(m, h, rates)]
-
-    return _integrate(rhs, 2, h0, t_eval)[1]
+    return _dense(_steps(rates, h0, float(t_eval[-1])), t_eval)[1]
 
 
 def _residuals(theta: np.ndarray, data: PrevalenceDataset, gamma: float) -> np.ndarray:
@@ -175,22 +172,40 @@ def objective(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> f
 
 
 def _sensitivity_system(theta: np.ndarray, h0: float, t_eval: np.ndarray, gamma: float):
-    """h and dh/dtheta, shape (n_times, 5), at t_eval: (m, h) are integrated
-    with their sensitivities S to r = (A_m, A_h, delta), S' = Jz S + df/dr."""
+    """h and dh/dtheta, shape (n_times, 5), at t_eval.  dh/dtheta is the exact
+    derivative of the computed h: with its accepted steps held fixed, each
+    step maps S = d(m, h)/dr, r = (A_m, A_h, delta), through its stages to
+    Phi S + Psi (internal numerical differentiation, Bock 1981)."""
     rates = _reduced_rates(theta, gamma)
     A_m, A_h, delta = rates.A_m, rates.A_h, rates.u_max
-
-    def rhs(t, w):
-        # w = (m, h, dm/dA_m, dm/dA_h, dm/ddelta, dh/dA_m, dh/dA_h, dh/ddelta)
-        m, h, m1, m2, m3, h1, h2, h3 = w.tolist()
-        mm, mh = -A_m * h - delta, A_m * (1.0 - m)   # Jz: d g_m / d(m, h)
-        hm, hh = A_h * (1.0 - h), -A_h * m - gamma   # Jz: d g_h / d(m, h)
-        return [g_m(m, h, delta, rates), g_h(m, h, rates),
-                mm * m1 + mh * h1 + h * (1.0 - m), mm * m2 + mh * h2, mm * m3 + mh * h3 - m,
-                hm * m1 + hh * h1, hm * m2 + hh * h2 + m * (1.0 - h), hm * m3 + hh * h3]
-
-    w = _integrate(rhs, 8, h0, t_eval)
-    return w[1], w[5:].T @ _reduced_rates_jacobian(theta)
+    steps = _steps(rates, h0, float(t_eval[-1]))
+    n = len(steps)
+    dt = steps[:, 1, None, None]
+    z = steps[:, None, 2:4] + dt * (_A @ steps[:, 4:].reshape(n, 7, 2))  # the stage states
+    m, h = z[..., 0], z[..., 1]
+    # Stage i's derivative dk_i/dr = M_i [S; I], from the derivative G_i [S; I]
+    # of its state: M_i = Jz G_i + [0 | Jr], with G_i = [I | 0] + dt sum_j a_ij M_j.
+    Jz = np.stack([-A_m * h - delta, A_m * (1.0 - m), A_h * (1.0 - h), -A_h * m - gamma], -1)
+    zero = np.zeros_like(m)
+    Jr = np.stack([h * (1.0 - m), zero, -m, zero, m * (1.0 - h), zero], -1)
+    Jz, Jr = Jz.reshape(n, 7, 2, 2), Jr.reshape(n, 7, 2, 3)
+    start = np.eye(2, 5)
+    M = np.empty((n, 7, 2, 5))
+    for i in range(7):
+        G = start + dt * (_A[i, :i] @ M[:, :i].reshape(n, i, 10)).reshape(n, 2, 5)
+        M[:, i] = Jz[:, i] @ G
+        M[:, i, :, 2:] += Jr[:, i]
+    # The last stage's state is the step's end, so G = [Phi | Psi] there.
+    rows = [(0.0,) * 6]
+    for (a, b, p, q, r), (c, d, u, v, w) in G[:-1].tolist():
+        m1, m2, m3, h1, h2, h3 = rows[-1]
+        rows.append((a * m1 + b * h1 + p, a * m2 + b * h2 + q, a * m3 + b * h3 + r,
+                     c * m1 + d * h1 + u, c * m2 + d * h2 + v, c * m3 + d * h3 + w))
+    S = np.array(rows).reshape(n, 2, 3)
+    K = M[..., :2] @ S[:, None] + M[..., 2:]
+    S_rows = np.hstack([steps[:, :2], S.reshape(n, 6), K.reshape(n, 42)])
+    dh = _dense(S_rows, t_eval)[3:]
+    return _dense(steps, t_eval)[1], dh.T @ _reduced_rates_jacobian(theta)
 
 
 def objective_gradient(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
@@ -217,6 +232,8 @@ def fit(
     residual Jacobian; non-convergence is reported on the `converged`
     flag, never raised.  Data of fewer than two days raise ValueError.
     """
+    from scipy.optimize import least_squares
+
     th0 = _theta_array(theta0)
     lb = np.array([b[0] for b in bounds], dtype=float)
     ub = np.array([b[1] for b in bounds], dtype=float)

@@ -1,8 +1,10 @@
-"""The Dormand-Prince 5(4) loop of `simulate` and of the frontier orbit.
+"""The Dormand-Prince 5(4) loop of `simulate`, of the frontier orbit and of
+the fit, the library's only integrator.
 
 It is scipy's RK45 step for step (same tableau, initial step, error norm
-and step control) as a loop over Python floats, free of numpy overhead on
-a two-element state; one numpy pass samples the steps' quartic dense output.
+and step control) with the step unrolled over Python floats, free of numpy
+overhead on a two-element state; one numpy pass samples the steps' quartic
+dense output.
 """
 
 import math
@@ -18,19 +20,19 @@ class SimulationError(RuntimeError):
         self.at_time = at_time
 
 
-# Dormand-Prince 5(4) as in scipy's RK45: stage times, the stage rows of A
-# (the last one is B, evaluated at the new state), error weights E, and the
-# dense-output matrix P of Shampine (1986).
-_C = (0.2, 0.3, 0.8, 8 / 9, 1.0, 1.0)
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# Dormand-Prince 5(4) as in scipy's RK45: row i of A weighs the earlier
+# stages in the state of stage i (the last row is B, evaluated at the new
+# state), and P is the dense-output matrix of Shampine (1986).  `_dopri`
+# unrolls A and B, with the stage times and error weights of that tableau.
+_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
 _P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
     [0, 0, 0, 0],
@@ -55,15 +57,17 @@ def _dopri(rhs, t, y, t_end, rtol, atol, event, steps):
         raise ValueError(f"rtol must be at least 100 * machine epsilon, got {rtol!r}")
     if not atol >= 0.0:
         raise ValueError(f"atol must be nonnegative, got {atol!r}")
-    f = rhs(t, *y)
-    sm, sh = atol + abs(y[0]) * rtol, atol + abs(y[1]) * rtol
-    d0, d1 = _rms(y[0] / sm, y[1] / sh), _rms(f[0] / sm, f[1] / sh)
+    m, h = y
+    f = rhs(t, m, h)
+    sm, sh = atol + abs(m) * rtol, atol + abs(h) * rtol
+    d0, d1 = _rms(m / sm, h / sh), _rms(f[0] / sm, f[1] / sh)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    f1 = rhs(t + h0, y[0] + h0 * f[0], y[1] + h0 * f[1])
+    f1 = rhs(t + h0, m + h0 * f[0], h + h0 * f[1])
     d2 = _rms((f1[0] - f[0]) / sm, (f1[1] - f[1]) / sh) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     step = min(100 * h0, h1, t_end - t)
-    g = event(t, *y) if event else None
+    g = event(t, m, h) if event else None
+    k1m, k1h = f
     while t < t_end:
         min_step = 10 * math.ulp(t)
         step, rejected = max(step, min_step), False
@@ -71,42 +75,63 @@ def _dopri(rhs, t, y, t_end, rtol, atol, event, steps):
             if not step >= min_step:  # also stops a NaN step
                 raise SimulationError("integration failed: step size below its minimum", t)
             dt = min(t + step, t_end) - t
-            K = [f]
-            for c, a in zip(_C, _A):
-                dm = dh = 0.0
-                for aj, k in zip(a, K):
-                    dm, dh = dm + aj * k[0], dh + aj * k[1]
-                K.append(rhs(t + c * dt, y[0] + dm * dt, y[1] + dh * dt))
-            y_new = (y[0] + dm * dt, y[1] + dh * dt)
-            em = eh = 0.0
-            for ej, k in zip(_E, K):
-                em, eh = em + ej * k[0], eh + ej * k[1]
-            err = _rms(em * dt / (atol + max(abs(y[0]), abs(y_new[0])) * rtol),
-                       eh * dt / (atol + max(abs(y[1]), abs(y_new[1])) * rtol))
+            # Each weighted sum starts at 0.0 and keeps the zeros of B and E,
+            # so the step is the loop over the tableau's rows, bit for bit.
+            k2m, k2h = rhs(t + 0.2 * dt, m + (0.0 + 1 / 5 * k1m) * dt,
+                           h + (0.0 + 1 / 5 * k1h) * dt)
+            k3m, k3h = rhs(t + 0.3 * dt, m + (0.0 + 3 / 40 * k1m + 9 / 40 * k2m) * dt,
+                           h + (0.0 + 3 / 40 * k1h + 9 / 40 * k2h) * dt)
+            k4m, k4h = rhs(t + 0.8 * dt,
+                           m + (0.0 + 44 / 45 * k1m - 56 / 15 * k2m + 32 / 9 * k3m) * dt,
+                           h + (0.0 + 44 / 45 * k1h - 56 / 15 * k2h + 32 / 9 * k3h) * dt)
+            k5m, k5h = rhs(t + 8 / 9 * dt,
+                           m + (0.0 + 19372 / 6561 * k1m - 25360 / 2187 * k2m
+                                + 64448 / 6561 * k3m - 212 / 729 * k4m) * dt,
+                           h + (0.0 + 19372 / 6561 * k1h - 25360 / 2187 * k2h
+                                + 64448 / 6561 * k3h - 212 / 729 * k4h) * dt)
+            k6m, k6h = rhs(t + dt,
+                           m + (0.0 + 9017 / 3168 * k1m - 355 / 33 * k2m + 46732 / 5247 * k3m
+                                + 49 / 176 * k4m - 5103 / 18656 * k5m) * dt,
+                           h + (0.0 + 9017 / 3168 * k1h - 355 / 33 * k2h + 46732 / 5247 * k3h
+                                + 49 / 176 * k4h - 5103 / 18656 * k5h) * dt)
+            m_new = m + (0.0 + 35 / 384 * k1m + 0.0 * k2m + 500 / 1113 * k3m + 125 / 192 * k4m
+                         - 2187 / 6784 * k5m + 11 / 84 * k6m) * dt
+            h_new = h + (0.0 + 35 / 384 * k1h + 0.0 * k2h + 500 / 1113 * k3h + 125 / 192 * k4h
+                         - 2187 / 6784 * k5h + 11 / 84 * k6h) * dt
+            k7m, k7h = rhs(t + dt, m_new, h_new)
+            em = (0.0 - 71 / 57600 * k1m + 0.0 * k2m + 71 / 16695 * k3m - 71 / 1920 * k4m
+                  + 17253 / 339200 * k5m - 22 / 525 * k6m + 1 / 40 * k7m)
+            eh = (0.0 - 71 / 57600 * k1h + 0.0 * k2h + 71 / 16695 * k3h - 71 / 1920 * k4h
+                  + 17253 / 339200 * k5h - 22 / 525 * k6h + 1 / 40 * k7h)
+            err = _rms(em * dt / (atol + max(abs(m), abs(m_new)) * rtol),
+                       eh * dt / (atol + max(abs(h), abs(h_new)) * rtol))
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
                 step = dt * (min(1.0, factor) if rejected else factor)
                 break
             step, rejected = dt * max(0.2, 0.9 * err ** -0.2), True
-        steps.append((t, dt, *y, *(v for k in K for v in k)))
-        t, y, f = t + dt, y_new, K[-1]
+        steps.append((t, dt, m, h, k1m, k1h, k2m, k2h, k3m, k3h, k4m, k4h,
+                      k5m, k5h, k6m, k6h, k7m, k7h))
+        t, m, h, k1m, k1h = t + dt, m_new, h_new, k7m, k7h
         if event:
-            g_new = event(t, *y)
+            g_new = event(t, m, h)
             if (g <= 0.0 <= g_new) or (g >= 0.0 >= g_new):
-                return y, _bisect(event, steps[-1], g)
+                return (m, h), _bisect(event, steps[-1], g)
             g = g_new
-    return y, None
+    return (m, h), None
 
 
 def _dense(steps: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(m, h) rows at sorted times t from the quartic interpolants of the
-    steps; a time on a step boundary uses the earlier step."""
+    """State rows at times t from the quartic interpolants of the steps, given
+    as rows (t, dt, y, stages) for a state y of any width d, such as (m, h);
+    a time on a step boundary uses the earlier step."""
+    d = (steps.shape[1] - 2) // 8
     i = np.maximum(steps[:, 0].searchsorted(t, side="left") - 1, 0)
     s = steps[i]
-    q = s[:, 4:].reshape(-1, 7, 2).transpose(0, 2, 1) @ _P
+    q = s[:, 2 + d:].reshape(-1, 7, d).transpose(0, 2, 1) @ _P
     x = (t - s[:, 0]) / s[:, 1]
     powers = np.cumprod(np.repeat(x[:, None, None], 4, axis=1), axis=1)
-    return (s[:, 1, None, None] * (q @ powers))[..., 0].T + s[:, 2:4].T
+    return (s[:, 1, None, None] * (q @ powers))[..., 0].T + s[:, 2:2 + d].T
 
 
 def _bisect(event, step, g_lo) -> float:

@@ -14,6 +14,7 @@ from rossmac.estimation import (
     MalformedCSVError,
     PrevalenceDataset,
     _reduced_rates,
+    _reduced_rates_jacobian,
     _sensitivity_system,
     fit,
     generate_synthetic_incidence,
@@ -161,6 +162,52 @@ class TestJacobian:
             assert sv[2] >= 1e-6 * sv[0]
 
 
+def reference_sensitivities(theta, t):
+    """h and dh/dtheta from DOP853 at rtol=1e-12 on the 8-state system of
+    (m, h) and S = d(m, h)/d(A_m, A_h, delta), S' = Jz S + df/dr."""
+    rates = _reduced_rates(theta, 0.1)
+    A_m, A_h, delta, gamma = rates.A_m, rates.A_h, rates.u_max, rates.gamma
+
+    def rhs(s, w):
+        m, h, m1, m2, m3, h1, h2, h3 = w
+        mm, mh = -A_m * h - delta, A_m * (1.0 - m)
+        hm, hh = A_h * (1.0 - h), -A_h * m - gamma
+        return [g_m(m, h, delta, rates), g_h(m, h, rates),
+                mm * m1 + mh * h1 + h * (1.0 - m), mm * m2 + mh * h2, mm * m3 + mh * h3 - m,
+                hm * m1 + hh * h1, hm * m2 + hh * h2 + m * (1.0 - h), hm * m3 + hh * h3]
+
+    w = solve_ivp(rhs, (0.0, t[-1]), [3e-3, 1e-3, 0, 0, 0, 0, 0, 0], method="DOP853",
+                  rtol=1e-12, atol=1e-15, t_eval=t).y
+    return w[1], w[5:].T @ _reduced_rates_jacobian(theta)
+
+
+class TestSensitivities:
+    """dh/dtheta is the derivative of the computed h, carried through the
+    accepted steps of its own solve."""
+
+    @pytest.mark.parametrize("theta", [THETA_TRUE, np.array(DEFAULT_THETA0)],
+                             ids=["truth", "theta0"])
+    def test_matches_eight_state_reference(self, theta):
+        t = np.arange(61, dtype=float)
+        h, J = _sensitivity_system(theta, 1e-3, t, 0.1)
+        h_ref, J_ref = reference_sensitivities(theta, t)
+        assert np.array_equal(h, simulate_h(theta, 1e-3, t))
+        np.testing.assert_allclose(h, h_ref, rtol=1e-9, atol=1e-11)
+        assert np.all(np.max(np.abs(J - J_ref), axis=0) <= 1e-8 * np.max(np.abs(J_ref), axis=0))
+
+    @pytest.mark.parametrize("theta", [THETA_TRUE, np.array(DEFAULT_THETA0)],
+                             ids=["truth", "theta0"])
+    def test_matches_central_differences_of_simulate_h(self, theta):
+        t = np.arange(61, dtype=float)
+        _, J = _sensitivity_system(theta, 1e-3, t, 0.1)
+        fd = np.empty_like(J)
+        for i in range(5):
+            e = np.zeros(5)
+            e[i] = 1e-6 * max(1.0, abs(theta[i]))
+            fd[:, i] = (simulate_h(theta + e, 1e-3, t) - simulate_h(theta - e, 1e-3, t)) / (2 * e[i])
+        assert np.all(np.max(np.abs(J - fd), axis=0) <= 1e-6 * np.max(np.abs(J), axis=0))
+
+
 class TestFit:
     def test_recovers_reduced_rates_from_noiseless_data(self):
         data = make_dataset()
@@ -209,25 +256,25 @@ class TestFit:
         assert result.objective_value < 1e-10
 
     def test_one_sensitivity_solve_per_trf_point(self, monkeypatch):
-        # Residuals and Jacobian at one point share a single 8-state solve,
-        # and no 2-state solve runs.
+        # Residuals and Jacobian at one point share a single solve of (m, h),
+        # and no further solve runs.
         solves, points = [], []
-        integrate, sensitivity = estimation._integrate, estimation._sensitivity_system
+        dopri, sensitivity = estimation._dopri, estimation._sensitivity_system
 
-        def counting_integrate(rhs, n_states, *args):
-            solves.append(n_states)
-            return integrate(rhs, n_states, *args)
+        def counting_dopri(*args):
+            solves.append(args)
+            return dopri(*args)
 
         def counting_sensitivity(theta, *args):
             points.append(theta.tobytes())
             return sensitivity(theta, *args)
 
         data = make_dataset()
-        monkeypatch.setattr(estimation, "_integrate", counting_integrate)
+        monkeypatch.setattr(estimation, "_dopri", counting_dopri)
         monkeypatch.setattr(estimation, "_sensitivity_system", counting_sensitivity)
         result = fit(data)
         assert result.converged
-        assert solves == [8] * result.iterations
+        assert len(solves) == result.iterations
         assert len(points) == len(set(points)) == result.iterations
 
     def test_results_do_not_depend_on_earlier_fits(self):

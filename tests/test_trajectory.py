@@ -261,8 +261,9 @@ class TestScipyParity:
 
 
 def test_open_loop_simulate_loads_no_scipy(tmp_path):
-    """Constant and piecewise runs and a kernel build from the library, and a
-    constant run from the CLI, in a fresh process, never import scipy."""
+    """Constant and piecewise runs, a kernel build and everything in
+    `estimation` but fit from the library, and a constant run from the CLI,
+    in a fresh process, never import scipy; fit then does."""
     rates = "A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733"
     argv = ["simulate", "--out", str(tmp_path), "--set=policy=constant", "--set=m0=0.2",
             "--set=h0=0.1", "--set=horizon=20", "--set=H_bar=0.5",
@@ -276,14 +277,21 @@ def test_open_loop_simulate_loads_no_scipy(tmp_path):
         "rossmac.simulate(start, pw, rates, 20.0)\n"
         "rossmac.build_kernel(rates, 0.5)\n"
         f"code = rossmac.cli.main({argv!r})\n"
-        "print(json.dumps([code, 'scipy' in sys.modules]))\n"
+        "from rossmac import estimation as E\n"
+        "data = E.incidence_to_prevalence(E.generate_synthetic_incidence(days=20))\n"
+        "E.simulate_h(E.DEFAULT_THETA0, 1e-3, data.days.astype(float))\n"
+        "E.objective(E.DEFAULT_THETA0, data)\n"
+        "E.objective_gradient(E.DEFAULT_THETA0, data)\n"
+        "before_fit = 'scipy' in sys.modules\n"
+        "E.fit(data, max_nfev=2)\n"
+        "print(json.dumps([code, before_fit, 'scipy' in sys.modules]))\n"
     )
     src = str(Path(simulate.__code__.co_filename).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, True]
     assert (tmp_path / "trajectory.csv").exists()
 
 
