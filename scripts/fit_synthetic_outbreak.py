@@ -19,6 +19,7 @@ from rossmac.estimation import (
     incidence_to_prevalence,
     write_prevalence_csv,
 )
+from rossmac.model import derive_rates
 
 
 def main() -> None:
@@ -37,18 +38,16 @@ def main() -> None:
     t0 = time.perf_counter()
     result = fit(data)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    truth = CALI_2013_ESTIMATE
-    A_m_true = truth.alpha * truth.p_m
-    A_h_true = truth.alpha * truth.p_h * truth.xi
+    truth = derive_rates(CALI_2013_ESTIMATE, CALI_2013_ESTIMATE.delta)
 
     print(f"total cases over {series.days.size - 1} days: "
           f"{int(series.new_cases.sum())}")
     print(f"converged={result.converged} iterations={result.iterations} "
           f"objective={result.objective_value:.3e} wall_ms={wall_ms:.1f}")
     for name, got, want in (
-        ("A_m", result.A_m, A_m_true),
-        ("A_h", result.A_h, A_h_true),
-        ("delta", result.delta, truth.delta),
+        ("A_m", result.A_m, truth.A_m),
+        ("A_h", result.A_h, truth.A_h),
+        ("delta", result.delta, truth.u_min),
     ):
         print(f"{name:6s} fitted={got:.6f} true={want:.6f} "
               f"rel_err={abs(got - want) / want * 100:.3f}%")

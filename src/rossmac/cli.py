@@ -228,17 +228,15 @@ def _policy_from_config(cfg, rates):
 def cmd_simulate(cfg: dict[str, str], args) -> int:
     rates = rates_from_config(cfg)
     H_bar = _get(cfg, "H_bar")
-    if not 0.0 < H_bar < 1.0:
-        raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
     initial = State(m=_get(cfg, "m0"), h=_get(cfg, "h0"))
     horizon = _get(cfg, "horizon")
     dt_out = _get(cfg, "dt_out", 0.1)
     policy = _policy_from_config(cfg, rates)
     traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **_tolerances(cfg))
+    violation = audit_viability(traj, H_bar)  # before the CSV: it refuses a bad cap
     csv_path = _out_dir(args) / "trajectory.csv"
     _write_csv(csv_path, ["t", "m", "h", "u"],
                ([_fmt(v) for v in row] for row in zip(traj.t, traj.m, traj.h, traj.u)))
-    violation = audit_viability(traj, H_bar)
     print(f"trajectory_csv={csv_path}")
     print("viability_violation=" + ("none" if violation is None else _fmt(violation)))
     if traj.left_kernel:
@@ -247,7 +245,9 @@ def cmd_simulate(cfg: dict[str, str], args) -> int:
 
 
 def cmd_diagram(cfg: dict[str, str], args) -> int:
-    rates = rates_from_config(cfg)
+    # The grid's u values stand in for u_max, so the key may be left out:
+    # it then defaults to u_min (delta in the raw form), which the rates accept.
+    rates = rates_from_config({"u_max": cfg.get("u_min", cfg.get("delta", "0")), **cfg})
     u_grid, H_grid = _get(cfg, "u_grid", parse=_grid), _get(cfg, "H_grid", parse=_grid)
     grid = regime_diagram(rates, u_grid, H_grid)
     csv_path = _out_dir(args) / "diagram.csv"
@@ -265,8 +265,7 @@ def cmd_fit(cfg: dict[str, str], args) -> int:
     population = _get(cfg, "population", parse=_count)
     gamma = _get(cfg, "gamma", estimation.DEFAULT_GAMMA)
     window = _get(cfg, "fit_days", estimation.FIT_WINDOW_DAYS, _count)
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
+    estimation._check_gamma(gamma)  # exit 2 before the CSV can exit 5
     try:
         series = estimation.read_incidence_csv(incidence, population)
     except (OSError, ValueError) as exc:  # a file that is not UTF-8 text included

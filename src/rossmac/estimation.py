@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rossmac.model import EpiParams, ModelRates, g_h, g_m
+from rossmac.model import EpiParams, ModelRates, _reduce, derive_rates, g_h, g_m
 from rossmac.ode import _A, _dense, _dopri
 
 # Admissible box for theta = (alpha, p_h, p_m, xi, delta) and the default
@@ -93,11 +93,16 @@ class FitResult:
     converged: bool
 
 
-def incidence_to_prevalence(series: IncidenceSeries, gamma: float = DEFAULT_GAMMA) -> PrevalenceDataset:
-    """Accumulate new cases into prevalence with geometric recovery."""
-    # gamma > 1 would make P*(1 - gamma) negative.
+def _check_gamma(gamma: float) -> None:
+    """A recovery rate the prevalence recursion takes: gamma > 1 would make
+    P*(1 - gamma) negative."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
+
+
+def incidence_to_prevalence(series: IncidenceSeries, gamma: float = DEFAULT_GAMMA) -> PrevalenceDataset:
+    """Accumulate new cases into prevalence with geometric recovery."""
+    _check_gamma(gamma)
     prevalence = np.empty(series.days.size)
     running = float(series.new_cases[0])
     prevalence[0] = running
@@ -120,12 +125,12 @@ def _theta_array(theta) -> np.ndarray:
 
 
 def _reduced_rates(theta: np.ndarray, gamma: float) -> ModelRates:
-    """The rates A_m = alpha*p_m and A_h = alpha*p_h*xi of theta, with the
-    mosquito death rate fixed at delta.  Unlike EpiParams, ModelRates
-    accepts the optimizer's trial points with p_h or p_m above 1.  The rates
-    are Python floats, on which the integrator's scalar steps run fastest."""
-    alpha, p_h, p_m, xi, delta = theta.tolist()
-    return ModelRates(A_m=alpha * p_m, A_h=alpha * p_h * xi, gamma=gamma, u_min=delta, u_max=delta)
+    """The reduced rates of theta (`model._reduce`, which also takes the
+    optimizer's trial points with p_h or p_m above 1), with the mosquito
+    death rate fixed at delta.  The rates are Python floats, on which the
+    integrator's scalar steps run fastest."""
+    th = theta.tolist()
+    return _reduce(*th, gamma, th[-1])  # u_max = u_min = delta
 
 
 def _reduced_rates_jacobian(theta: np.ndarray) -> np.ndarray:
@@ -291,15 +296,14 @@ def fit(
 
 
 def _make_result(theta: np.ndarray, obj: float, nfev: int, converged: bool, gamma: float) -> FitResult:
-    alpha, p_h, p_m, xi, delta = theta
-    params = EpiParams(alpha=alpha, p_h=p_h, p_m=p_m, xi=xi, delta=delta, gamma=gamma)
-    rates = _reduced_rates(theta, gamma)
+    params = EpiParams(*theta.tolist(), gamma)
+    rates = derive_rates(params, params.delta)
     return FitResult(
         theta_hat=params,
         objective_value=obj,
         A_m=rates.A_m,
         A_h=rates.A_h,
-        delta=delta,
+        delta=params.delta,
         iterations=nfev,
         converged=converged,
     )

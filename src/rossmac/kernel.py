@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rossmac.model import ModelRates, State, g_h, g_m
+from rossmac.model import ModelRates, State, _endemic_h, g_h, g_m
 from rossmac.ode import SimulationError, _dense, _dopri
 
 
@@ -66,6 +66,11 @@ def _is_point(m, h) -> bool:
     return isinstance(m, float) and isinstance(h, float) and math.isfinite(m) and math.isfinite(h)
 
 
+def _check_cap(H_bar: float) -> None:
+    if not 0.0 < H_bar < 1.0:
+        raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
+
+
 class FrontierIntegrationError(RuntimeError):
     """The backward u_max orbit from (M_bar, H_bar) does not trace a
     frontier: it is not a graph over m, it stays in the box up to the time
@@ -75,16 +80,13 @@ class FrontierIntegrationError(RuntimeError):
 def regime_thresholds(rates: ModelRates, u_max: float | None = None) -> tuple[float, float]:
     """(lower, upper) thresholds on H_bar separating the three regimes.
 
-    lower = (A_h - gamma*u_max/A_m) / (A_h + gamma), may be nonpositive;
-    upper = A_h / (A_h + gamma).
+    lower = (A_h - gamma*u_max/A_m) / (A_h + gamma), the endemic h* under
+    u_max, may be nonpositive; upper = A_h / (A_h + gamma).
     """
     if rates.A_m == 0.0:
         raise ValueError("threshold undefined: A_m = 0")
-    u = rates.u_max if u_max is None else u_max
-    denom = rates.A_h + rates.gamma
-    lower = (rates.A_h - rates.gamma * u / rates.A_m) / denom
-    upper = rates.A_h / denom
-    return lower, upper
+    lower = _endemic_h(rates, rates.u_max if u_max is None else u_max)
+    return lower, rates.A_h / (rates.A_h + rates.gamma)
 
 
 _REGIMES = (Regime.MEDIUM, Regime.LOW, Regime.HIGH)
@@ -96,12 +98,13 @@ def _regime_code(lower, upper, H):
     return 2 * (H >= upper) + ((lower > 0.0) & (H < lower))
 
 
-def _classify(rates: ModelRates, H_bar: float) -> tuple[Regime, float]:
-    """Regime of one cap, with the lower threshold it was read from."""
-    if not 0.0 < H_bar < 1.0:
-        raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
+def _classify(rates: ModelRates, H_bar: float) -> tuple[Regime, bool]:
+    """Regime of one cap, and whether it is a medium one outside the
+    positivity hypothesis on the lower threshold."""
+    _check_cap(H_bar)
     lower, upper = regime_thresholds(rates)
-    return _REGIMES[_regime_code(lower, upper, H_bar)], lower
+    regime = _REGIMES[_regime_code(lower, upper, H_bar)]
+    return regime, regime is Regime.MEDIUM and lower <= 0.0
 
 
 def classify_regime(rates: ModelRates, H_bar: float) -> Regime:
@@ -119,14 +122,12 @@ def classify_regime(rates: ModelRates, H_bar: float) -> Regime:
 def outside_proven_hypotheses(rates: ModelRates, H_bar: float) -> bool:
     """True when the medium classification falls outside the positivity
     hypothesis on the lower threshold."""
-    regime, lower = _classify(rates, H_bar)
-    return regime is Regime.MEDIUM and lower <= 0.0
+    return _classify(rates, H_bar)[1]
 
 
 def m_bar(rates: ModelRates, H_bar: float) -> float:
     """Mosquito proportion on the line h = H_bar where dh/dt vanishes."""
-    if not 0.0 < H_bar < 1.0:
-        raise ValueError(f"H_bar must lie in (0, 1), got {H_bar!r}")
+    _check_cap(H_bar)
     if rates.A_h == 0.0:
         raise ValueError("m_bar undefined: A_h = 0")
     return rates.gamma * H_bar / (rates.A_h * (1.0 - H_bar))
@@ -160,8 +161,7 @@ class KernelDescription:
     _lists: tuple[list, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.H_bar < 1.0:
-            raise ValueError(f"H_bar must lie in (0, 1), got {self.H_bar!r}")
+        _check_cap(self.H_bar)
         if self.regime is not Regime.MEDIUM:
             return
         if self.frontier_m is None or self.frontier_y is None:
@@ -223,19 +223,15 @@ class KernelDescription:
         ax, ay = self._segments[:2]
         m, h = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(h, dtype=float))
         bad = ~(np.isfinite(m) & np.isfinite(h))
-        if bad.any():
-            # |m| + |h| is inf or NaN exactly there; [()] keeps a 0-d result a scalar.
-            d = self.frontier_distance(np.where(bad, 0.0, m), np.where(bad, 0.0, h))
-            return np.where(bad, np.abs(m) + np.abs(h), d)[()]
-        if m.size <= _DISTANCE_BLOCK:
-            return self._nearest(m[..., None] - ax, h[..., None] - ay)
-        px, py = m.reshape(-1, 1), h.reshape(-1, 1)
+        px, py = np.where(bad, 0.0, m).reshape(-1, 1), np.where(bad, 0.0, h).reshape(-1, 1)
         out = np.empty(m.size)
         # Blocks of points bound the (points x segments) temporaries.
         for i in range(0, out.size, _DISTANCE_BLOCK):
             block = slice(i, i + _DISTANCE_BLOCK)
             out[block] = self._nearest(px[block] - ax, py[block] - ay)
-        return out.reshape(m.shape)
+        # |m| + |h| is inf or NaN exactly at the bad points; [()] keeps a 0-d
+        # result a scalar.
+        return np.where(bad, np.abs(m) + np.abs(h), out.reshape(m.shape))[()]
 
     def _nearest(self, px, py) -> np.ndarray:
         """Point-to-segment distance minimised over the segments, given the
@@ -387,7 +383,7 @@ def build_kernel(
     atol: float = 1e-12,
 ) -> KernelDescription:
     """Classify the regime and, for medium caps, compute the frontier."""
-    regime, lower = _classify(rates, H_bar)
+    regime, outside = _classify(rates, H_bar)
     if regime is not Regime.MEDIUM:
         return KernelDescription(regime=regime, H_bar=H_bar)
     m_inf, fm, fy = boundary_curve(rates, H_bar, step=step, rtol=rtol, atol=atol)
@@ -398,7 +394,7 @@ def build_kernel(
         M_inf=m_inf,
         frontier_m=fm,
         frontier_y=fy,
-        outside_proven_hypotheses=lower <= 0.0,
+        outside_proven_hypotheses=outside,
     )
 
 

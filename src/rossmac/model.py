@@ -86,6 +86,13 @@ class State:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
 
 
+def _reduce(alpha, p_h, p_m, xi, delta, gamma, u_max) -> ModelRates:
+    """The rates A_m = alpha*p_m and A_h = alpha*p_h*xi, with u_min = delta.
+    Raw values are not checked against EpiParams' ranges, so that a fit's
+    trial points with p_h or p_m above 1 reduce too."""
+    return ModelRates(A_m=alpha * p_m, A_h=alpha * p_h * xi, gamma=gamma, u_min=delta, u_max=u_max)
+
+
 def derive_rates(params: EpiParams, u_max: float) -> ModelRates:
     """Reduce raw parameters to transmission rates and control bounds.
 
@@ -96,21 +103,18 @@ def derive_rates(params: EpiParams, u_max: float) -> ModelRates:
         raise ValueError(
             f"u_max must be finite and >= delta ({params.delta}), got {u_max!r}"
         )
-    return ModelRates(
-        A_m=params.alpha * params.p_m,
-        A_h=params.alpha * params.p_h * params.xi,
-        gamma=params.gamma,
-        u_min=params.delta,
-        u_max=u_max,
-    )
+    return _reduce(params.alpha, params.p_h, params.p_m, params.xi, params.delta,
+                   params.gamma, u_max)
+
+
+def _check_control(u: float, rates: ModelRates) -> None:
+    if not (rates.u_min <= u <= rates.u_max):
+        raise ValueError(f"control {u!r} outside bounds [{rates.u_min}, {rates.u_max}]")
 
 
 def vector_field(state: State, u: float, rates: ModelRates) -> tuple[float, float]:
     """Right-hand side (dm/dt, dh/dt) of the controlled system."""
-    if not (rates.u_min <= u <= rates.u_max):
-        raise ValueError(
-            f"control {u!r} outside bounds [{rates.u_min}, {rates.u_max}]"
-        )
+    _check_control(u, rates)
     return g_m(state.m, state.h, u, rates), g_h(state.m, state.h, rates)
 
 
@@ -124,6 +128,13 @@ def g_h(m: float, h: float, rates: ModelRates) -> float:
     return rates.A_h * m * (1.0 - h) - rates.gamma * h
 
 
+def _endemic_h(rates: ModelRates, u):
+    """The endemic h* = (A_h - gamma*u/A_m) / (A_h + gamma) under constant
+    fumigation u, a float or an array; at u = u_max it is the lower
+    threshold on the cap, and it may be nonpositive."""
+    return (rates.A_h - rates.gamma * u / rates.A_m) / (rates.A_h + rates.gamma)
+
+
 def endemic_equilibrium(rates: ModelRates, u_const: float) -> State | None:
     """Closed-form endemic equilibrium under constant fumigation u_const.
 
@@ -131,15 +142,11 @@ def endemic_equilibrium(rates: ModelRates, u_const: float) -> State | None:
     A_m*A_h - gamma*u_const > 0; the boundary case is treated as
     nonexistence since the formula then degenerates to the origin.
     """
-    if not (rates.u_min <= u_const <= rates.u_max):
-        raise ValueError(
-            f"control {u_const!r} outside bounds [{rates.u_min}, {rates.u_max}]"
-        )
+    _check_control(u_const, rates)
     if rates.A_m * rates.A_h - rates.gamma * u_const <= 0.0:
         return None
     m_star = (rates.A_m - rates.gamma * u_const / rates.A_h) / (rates.A_m + u_const)
-    h_star = (rates.A_h - rates.gamma * u_const / rates.A_m) / (rates.A_h + rates.gamma)
-    return State(m=m_star, h=h_star)
+    return State(m=m_star, h=_endemic_h(rates, u_const))
 
 
 def check_dominance(traj_low, traj_high, tol: float) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rossmac.kernel import KernelDescription, Regime, _is_point
+from rossmac.kernel import KernelDescription, Regime, _check_cap, _is_point
 from rossmac.model import ModelRates, State, g_h, g_m
 from rossmac.ode import SimulationError, _dense, _dopri  # noqa: F401 (SimulationError re-exported)
 
@@ -33,22 +33,6 @@ from rossmac.ode import SimulationError, _dense, _dopri  # noqa: F401 (Simulatio
 # about 60 MiB for 10^5 and 310 MiB for 10^6 (Python 3.11, numpy 2.4), so a
 # tiny dt_out is refused with its name instead of failing to allocate.
 _MAX_SAMPLES = 10**6
-
-
-@dataclass(frozen=True)
-class ConstantControl:
-    u: float
-    kernel = None
-
-    @property
-    def u_range(self) -> tuple[float, float]:
-        return self.u, self.u
-
-    def control(self, t, m, h):
-        return self.u + 0.0 * np.asarray(t)  # u, shaped like t
-
-    def breakpoints_within(self, horizon: float) -> list[float]:
-        return []
 
 
 @dataclass(frozen=True)
@@ -80,6 +64,13 @@ class PiecewiseConstantControl:
 
     def breakpoints_within(self, horizon: float) -> list[float]:
         return [t for t, _ in self.schedule if 0.0 < t < horizon]
+
+
+class ConstantControl(PiecewiseConstantControl):
+    """Constant fumigation u: the one-piece schedule ((0, u),)."""
+
+    def __init__(self, u: float):
+        super().__init__(((0.0, u),))
 
 
 class SaturatingFeedback:
@@ -197,6 +188,7 @@ def simulate(
 
 def audit_viability(traj: Trajectory, H_bar: float) -> float | None:
     """Earliest sample time with h > H_bar, or None if the cap holds."""
+    _check_cap(H_bar)
     over = np.nonzero(traj.h > H_bar)[0]
     if over.size == 0:
         return None

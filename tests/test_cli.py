@@ -167,6 +167,19 @@ class TestBoundary:
         svg = (tmp_path / "kernel.svg").read_text()
         assert svg.startswith("<svg") and "path" in svg
 
+    def test_svg_closes_the_polygon_below_an_m1_exit(self, tmp_path, capsys):
+        # The frontier of this cell ends on m = 1 above h = 0, so the polygon
+        # runs down the right edge to (1, 0) before it closes.
+        cell = {**MEDIUM, "u_max": "0.01271789327358196", "H_bar": "0.7305437433203956",
+                "svg": "true"}
+        code, out, err = run("boundary", tmp_path, cell, capsys)
+        assert code == 0, err
+        assert float(out["m_inf"]) == 1.0
+        path = (tmp_path / "kernel.svg").read_text().split('<path d="M ')[1].split(" Z")[0]
+        corners = [tuple(map(float, p.split())) for p in path.split(" L ")]
+        assert corners[0] == (40.0, 360.0) and corners[-1] == (560.0, 360.0)
+        assert corners[-2][0] == 560.0 and corners[-2][1] < 360.0
+
     @pytest.mark.parametrize("value", ["maybe", "yes", "1"])
     def test_svg_is_true_or_false(self, tmp_path, capsys, value):
         code, _, err = run("boundary", tmp_path, {**MEDIUM, "svg": value}, capsys)
@@ -198,6 +211,16 @@ class TestSimulate:
                             "horizon": "200"}, capsys)
         assert code == 0
         assert out["viability_violation"] == "none"
+
+    def test_left_kernel_is_printed_for_a_start_outside(self, tmp_path, capsys):
+        # (0.9, 0.45) lies beyond M_inf of the Cali kernel at H_bar = 0.5.
+        cfg = {**self.BASE, "policy": "feedback"}
+        code, out, err = run("simulate", tmp_path, cfg, capsys)
+        assert code == 0, err
+        assert "left_kernel" not in out
+        code, out, err = run("simulate", tmp_path, {**cfg, "m0": "0.9", "h0": "0.45"}, capsys)
+        assert code == 0, err
+        assert out["left_kernel"] == "true"
 
     def test_feedback_non_medium_exits_4(self, tmp_path, capsys):
         code, _, err = run("simulate", tmp_path,
@@ -309,6 +332,23 @@ class TestDiagram:
         assert code == 0
         rows = (tmp_path / "diagram.csv").read_text().splitlines()
         assert len(rows) == 31
+
+    @pytest.mark.parametrize("rates", [
+        {"A_m": "0.02906", "A_h": "0.31066", "gamma": "0.1"},
+        {"alpha": "0.3365", "p_h": "0.2287", "p_m": "0.1532", "xi": "1.0359",
+         "delta": "0.0333", "gamma": "0.1"},
+    ])
+    def test_control_bounds_are_not_required(self, tmp_path, capsys, rates):
+        # Each grid column sets u_max, so the diagram is the same with or
+        # without the rates' own control bounds.
+        grids = {"u_grid": "0:0.1:5", "H_grid": "0.2,0.5,0.9"}
+        bounds = {"u_min": "0.01", "u_max": "0.03733"} if "A_m" in rates else {"u_max": "0.05"}
+        code, _, err = run("diagram", tmp_path / "a", {**rates, **grids}, capsys)
+        assert code == 0, err
+        code, _, err = run("diagram", tmp_path / "b", {**rates, **bounds, **grids}, capsys)
+        assert code == 0, err
+        written = [(tmp_path / d / "diagram.csv").read_bytes() for d in "ab"]
+        assert written[0] == written[1] and written[0].count(b"\n") == 16
 
     def test_missing_grid_exits_2(self, tmp_path, capsys):
         cfg = {"A_m": "0.1", "A_h": "0.1", "gamma": "0.1", "u_max": "0.05",

@@ -27,6 +27,7 @@ from rossmac.estimation import (
     write_prevalence_csv,
 )
 from rossmac.model import g_h, g_m
+from rossmac.ode import SimulationError
 
 THETA_TRUE = np.array([0.3365, 0.2287, 0.1532, 1.0359, 0.0333])
 
@@ -97,6 +98,15 @@ class TestObjective:
     def test_empty_window(self):
         data = PrevalenceDataset(days=np.array([0]), h_hat=np.array([0.01]))
         assert objective(THETA_TRUE, data) == 0.0
+
+    def test_inf_when_the_solve_fails(self, monkeypatch):
+        data = make_dataset()
+
+        def fail(*args):
+            raise SimulationError("integration failed: step size below its minimum", 3.0)
+
+        monkeypatch.setattr(estimation, "_dopri", fail)
+        assert objective(THETA_TRUE, data) == np.inf
 
     def test_positive_away_from_truth(self):
         data = make_dataset()

@@ -122,6 +122,11 @@ class TestEndemicEquilibrium:
         rates = ModelRates(A_m=0.05, A_h=0.05, gamma=0.1, u_min=0.05, u_max=0.2)
         assert endemic_equilibrium(rates, 0.1) is None
 
+    def test_rejects_control_outside_bounds(self):
+        for u in (0.01, 0.3):
+            with pytest.raises(ValueError, match=r"outside bounds \[0.05, 0.25\]"):
+                endemic_equilibrium(RATES, u)
+
     def test_boundary_treated_as_absent(self):
         # u = A_m*A_h/gamma exactly
         rates = ModelRates(A_m=0.2, A_h=0.3, gamma=0.1, u_min=0.05, u_max=0.8)

@@ -321,6 +321,21 @@ class TestPolicies:
         with pytest.raises(ValueError):
             SaturatingFeedback(desc, 0.01, 0.1)
 
+    def test_feedback_refuses_inverted_bounds(self, medium_kernel):
+        with pytest.raises(ValueError, match="u_min <= u_max"):
+            SaturatingFeedback(medium_kernel, MEDIUM_RATES.u_max, MEDIUM_RATES.u_min)
+
+    def test_constant_is_a_one_piece_schedule(self):
+        const = ConstantControl(0.1)
+        assert isinstance(const, PiecewiseConstantControl) and "control" not in vars(ConstantControl)
+        assert const.schedule == ((0.0, 0.1),) and const == ConstantControl(u=0.1)
+        assert const.u_range == (0.1, 0.1) and const.breakpoints_within(50.0) == []
+        t = np.array([[0.0, 2.5], [7.0, 1e9]])
+        assert const.control(t, 0.0, 0.0).shape == t.shape and np.all(const.control(t, 0, 0) == 0.1)
+        a = simulate(State(0.2, 0.2), const, RATES, 10.0, dt_out=0.3)
+        b = simulate(State(0.2, 0.2), PiecewiseConstantControl(((0.0, 0.1),)), RATES, 10.0, dt_out=0.3)
+        assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in "tmhu")
+
     def test_feedback_clamps_outside_kernel(self, medium_kernel):
         fb = SaturatingFeedback(medium_kernel, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
         assert fb.control(0.0, 0.9, 0.4) == MEDIUM_RATES.u_max
@@ -414,6 +429,12 @@ class TestAudit:
         traj = simulate(State(0.2, 0.05), ConstantControl(MEDIUM_RATES.u_max),
                         MEDIUM_RATES, 2000.0, dt_out=2.0)
         assert audit_viability(traj, 0.4) is not None
+
+    @pytest.mark.parametrize("H_bar", [0.0, 1.0, math.nan])
+    def test_rejects_cap_outside_unit_interval(self, H_bar):
+        traj = simulate(State(0.0, 0.0), ConstantControl(0.1), RATES, 5.0, dt_out=1.0)
+        with pytest.raises(ValueError, match=r"H_bar must lie in \(0, 1\)"):
+            audit_viability(traj, H_bar)
 
 
 class TestTrajectoryType:
