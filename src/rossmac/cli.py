@@ -28,6 +28,7 @@ import numpy as np
 # most of a second; estimation itself still costs 6-17 ms to import, so every
 # other command loads neither.
 from rossmac.kernel import (
+    DEFAULT_STEP,
     Regime,
     build_kernel,
     classify_regime,
@@ -129,12 +130,6 @@ def rates_from_config(cfg: dict[str, str]) -> ModelRates:
     return derive_rates(EpiParams(**values), u_max)
 
 
-def _tolerances(cfg: dict[str, str]) -> dict[str, float]:
-    """Integrator tolerances from the rtol/atol keys.  Those not given are
-    left out, so each library function keeps its own default."""
-    return {key: _get(cfg, key) for key in ("rtol", "atol") if key in cfg}
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -190,8 +185,7 @@ def _write_kernel_svg(path: Path, desc) -> None:
 def _kernel_from_config(cfg: dict[str, str], rates: ModelRates):
     """The one kernel request of `boundary` and feedback `simulate`, both
     of which need the medium regime."""
-    desc = build_kernel(rates, _get(cfg, "H_bar"), step=_get(cfg, "step", 1e-3),
-                        **_tolerances(cfg))
+    desc = build_kernel(rates, _get(cfg, "H_bar"), _get(cfg, "step", DEFAULT_STEP))
     if desc.regime is not Regime.MEDIUM:
         kernel = "the origin only" if desc.regime is Regime.LOW else "the whole constraint box"
         raise NotMediumError(f"regime {desc.regime.value}: the kernel is {kernel}, not medium")
@@ -232,7 +226,9 @@ def cmd_simulate(cfg: dict[str, str], args) -> int:
     horizon = _get(cfg, "horizon")
     dt_out = _get(cfg, "dt_out", 0.1)
     policy = _policy_from_config(cfg, rates)
-    traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **_tolerances(cfg))
+    # The tolerances reach this run only, never the feedback policy's kernel.
+    tolerances = {key: _get(cfg, key) for key in ("rtol", "atol") if key in cfg}
+    traj = simulate(initial, policy, rates, horizon, dt_out=dt_out, **tolerances)
     violation = audit_viability(traj, H_bar)  # before the CSV: it refuses a bad cap
     csv_path = _out_dir(args) / "trajectory.csv"
     _write_csv(csv_path, ["t", "m", "h", "u"],
@@ -307,16 +303,17 @@ def cmd_fit(cfg: dict[str, str], args) -> int:
 
 # Each command's function and every key it reads; load_config refuses any
 # other.  Rates come reduced or raw (see rates_from_config), _KERNEL feeds
-# _kernel_from_config, and simulate reads the keys of all three policies.
+# _kernel_from_config, and simulate reads its own tolerances and the keys of
+# all three policies.
 _REDUCED = ("A_m", "A_h", "gamma", "u_min", "u_max")
 _RAW = ("alpha", "p_h", "p_m", "xi", "delta", "gamma", "u_max")
 _RATES = tuple(dict.fromkeys(_REDUCED + _RAW))
-_KERNEL = ("H_bar", "step", "rtol", "atol")
+_KERNEL = ("H_bar", "step")
 COMMANDS = {
     "classify": (cmd_classify, (*_RATES, "H_bar")),
     "boundary": (cmd_boundary, (*_RATES, *_KERNEL, "svg")),
-    "simulate": (cmd_simulate, (*_RATES, *_KERNEL, "m0", "h0", "horizon", "dt_out", "policy",
-                                "u", "schedule")),
+    "simulate": (cmd_simulate, (*_RATES, *_KERNEL, "m0", "h0", "horizon", "dt_out", "rtol",
+                                "atol", "policy", "u", "schedule")),
     "diagram": (cmd_diagram, (*_RATES, "u_grid", "H_grid")),
     "fit": (cmd_fit, ("incidence", "population", "gamma", "fit_days")),
 }

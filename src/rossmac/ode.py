@@ -52,7 +52,10 @@ def _dopri(rhs, t, y, t_end, rtol, atol, event, steps):
     """Integrate rhs(t, m, h) -> (dm, dh) from state y at t to t_end, adding
     each accepted step to `steps` as a row (t, dt, m, h, stages).  Returns
     the last state and the root of `event` on the first step over which it
-    changes sign, or None."""
+    changes sign, or None.  Needing more than 10^5 + 10 (t_end - t) accepted
+    steps raises SimulationError: a stiff field, which holds the step near
+    its stability limit, would otherwise run on for hours, while a 10^6-day
+    run of the model takes some 8 * 10^4 steps."""
     if not rtol >= 100 * np.finfo(float).eps:
         raise ValueError(f"rtol must be at least 100 * machine epsilon, got {rtol!r}")
     if not atol >= 0.0:
@@ -68,7 +71,10 @@ def _dopri(rhs, t, y, t_end, rtol, atol, event, steps):
     step = min(100 * h0, h1, t_end - t)
     g = event(t, m, h) if event else None
     k1m, k1h = f
+    limit = len(steps) + 10**5 + 10 * (t_end - t)
     while t < t_end:
+        if len(steps) >= limit:
+            raise SimulationError("integration failed: too many steps", t)
         min_step = 10 * math.ulp(t)
         step, rejected = max(step, min_step), False
         while True:

@@ -73,7 +73,7 @@ class TestClassify:
         assert "H_bar" in err
 
     def test_tol_flag_is_gone(self):
-        # --set rtol=... --set atol=... sets the integrator tolerances.
+        # No command reads a --tol flag; simulate reads the rtol and atol keys.
         argv = ["classify", "--tol", "1e-9"]
         argv += [a for k, v in MEDIUM.items() for a in ("--set", f"{k}={v}")]
         with pytest.raises(SystemExit) as exc:
@@ -132,10 +132,9 @@ class TestBoundary:
         assert rows[1].split(",")[1] == "0.7564885"
 
     def test_default_tolerances_meet_the_m1_exit(self, tmp_path, capsys):
-        # With no rtol/atol keys the frontier is traced at build_kernel's
-        # own tolerances.  On this cell, which leaves the box
-        # through m = 1, a CLI default of rtol = 1e-9 put the last row 8.5e-9
-        # off the backward orbit's exit; build_kernel's default misses by 2.6e-10.
+        # The frontier is traced at the kernel's fixed tolerances.  On this
+        # cell, which leaves the box through m = 1, rtol = 1e-9 put the last
+        # row 2.1e-8 off the backward orbit's exit; the fixed ones miss by 2.6e-10.
         u_max, H_bar = 0.01271789327358196, 0.7305437433203956
         cell = {**MEDIUM, "u_max": repr(u_max), "H_bar": repr(H_bar)}
         code, _, err = run("boundary", tmp_path, cell, capsys)
@@ -147,8 +146,7 @@ class TestBoundary:
         assert abs(y_end - orbit.h) < 2e-9
 
     @pytest.mark.parametrize("key, value", [("H_bar", "1.5"), ("H_bar", "0"), ("step", "0"),
-                                            ("step", "-1e-3"), ("rtol", "1e-15"), ("atol", "-1"),
-                                            ("atol", "nan"), ("step", "nan")])
+                                            ("step", "-1e-3"), ("step", "nan")])
     def test_bad_cap_or_step_exits_2(self, tmp_path, capsys, key, value):
         code, _, err = run("boundary", tmp_path, {**MEDIUM, key: value}, capsys)
         assert code == cli.EXIT_BAD_CONFIG
@@ -221,6 +219,33 @@ class TestSimulate:
         code, out, err = run("simulate", tmp_path, {**cfg, "m0": "0.9", "h0": "0.45"}, capsys)
         assert code == 0, err
         assert out["left_kernel"] == "true"
+
+    @pytest.mark.parametrize("key, value", [("rtol", "1e-15"), ("atol", "-1"), ("atol", "nan")])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, key, value):
+        code, _, err = run("simulate", tmp_path, {**self.BASE, key: value}, capsys)
+        assert code == cli.EXIT_BAD_CONFIG
+        assert key in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_tolerances_do_not_reach_the_kernel(self):
+        # rtol = 1e-9 would end this cell's frontier 2.1e-8 off the backward
+        # orbit's exit; the feedback policy's kernel ignores it.
+        cell = {**self.BASE, "u_max": "0.01271789327358196", "H_bar": "0.7305437433203956",
+                "policy": "feedback", "rtol": "1e-9"}
+        cfg = cli.load_config(None, [f"{k}={v}" for k, v in cell.items()], "simulate")
+        rates = cli.rates_from_config(cfg)
+        desc = cli._kernel_from_config(cfg, rates)
+        direct = build_kernel(rates, 0.7305437433203956, 1e-3)
+        assert desc.frontier_m.tobytes() == direct.frontier_m.tobytes()
+        assert desc.frontier_y.tobytes() == direct.frontier_y.tobytes()
+
+    def test_stiff_rates_exit_1(self, tmp_path, capsys):
+        code, _, err = run("simulate", tmp_path,
+                           {**self.BASE, "A_m": "1e8", "policy": "constant", "u": "0.02",
+                            "horizon": "200"}, capsys)
+        assert code == 1
+        assert "too many steps" in err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_feedback_non_medium_exits_4(self, tmp_path, capsys):
         code, _, err = run("simulate", tmp_path,
@@ -448,7 +473,7 @@ class TestUnreadKeys:
     # A call of each command, and keys that it does not read.
     CALLS = {
         "classify": (MEDIUM, ["Hbar", "rtol"]),
-        "boundary": (MEDIUM, ["u", "H_grid"]),
+        "boundary": (MEDIUM, ["u", "H_grid", "rtol", "atol"]),
         "simulate": ({**MEDIUM, "m0": "0.1", "h0": "0.2", "horizon": "5"}, ["svg", "Horizon"]),
         "diagram": ({**{k: v for k, v in MEDIUM.items() if k != "H_bar"},
                      "u_grid": "0.02", "H_grid": "0.5"}, ["H_bar", "step"]),

@@ -108,6 +108,11 @@ class TestObjective:
         monkeypatch.setattr(estimation, "_dopri", fail)
         assert objective(THETA_TRUE, data) == np.inf
 
+    def test_inf_on_a_stiff_theta(self):
+        # alpha = 1e8 gives A_m = 1e8: the integrator's step bound ends the
+        # solve, which would otherwise run on for some 10^10 steps.
+        assert objective((1e8, 1.0, 1.0, 5.0, 0.05), make_dataset()) == np.inf
+
     def test_positive_away_from_truth(self):
         data = make_dataset()
         off = THETA_TRUE * np.array([1.3, 1.0, 1.0, 1.0, 1.0])

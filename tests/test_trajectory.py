@@ -18,7 +18,6 @@ from rossmac import trajectory
 from rossmac.kernel import (
     KernelDescription,
     Regime,
-    boundary_curve,
     build_kernel,
     distance_to_frontier,
 )
@@ -251,13 +250,17 @@ class TestScipyParity:
         ({"atol": math.nan}, "atol"),
     ])
     def test_rejects_bad_tolerance(self, tol, name):
-        # The check sits in the integrator, so the frontier orbit has it too.
+        # The frontier's tolerances are fixed, so only simulate takes them.
         with pytest.raises(ValueError, match=name):
             simulate(State(0.3, 0.2), ConstantControl(0.1), RATES, 10.0, **tol)
-        with pytest.raises(ValueError, match=name):
-            boundary_curve(MEDIUM_RATES, 0.5, **tol)
-        with pytest.raises(ValueError, match=name):
-            build_kernel(MEDIUM_RATES, 0.5, **tol)
+
+    def test_stiff_field_raises_instead_of_stepping_on(self):
+        # At A_m = 1e8 the step stays near 3e-8 days, so a 200-day run would
+        # take some 10^10 steps; the step bound stops it with the time reached.
+        stiff = dataclasses.replace(MEDIUM_RATES, A_m=1e8)
+        with pytest.raises(SimulationError, match="too many steps") as exc:
+            simulate(State(0.1, 0.1), ConstantControl(0.02), stiff, 200.0)
+        assert 0.0 < exc.value.at_time < 200.0
 
 
 def test_open_loop_simulate_loads_no_scipy(tmp_path):
