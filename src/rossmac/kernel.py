@@ -6,9 +6,10 @@ Three regimes arise depending on the cap H_bar on infected humans:
   high   -- the whole constraint box [0,1] x [0,H_bar] is strongly invariant,
   medium -- the kernel is a strict subset whose upper-right frontier is the
             graph of a strictly decreasing curve Y(m): the orbit under
-            maximal fumigation that arrives at (M_bar, H_bar), traced by
-            integrating backwards in time from that point on the
-            Dormand-Prince loop that also runs `simulate` (`rossmac.ode`).
+            maximal fumigation that arrives at (M_bar, H_bar), traced as
+            the boundary ODE Y' = g_h / g_m, integrated in m from that
+            point on the Dormand-Prince loop that also runs `simulate`
+            (`rossmac.ode`).
 
 The frontier is held as one polyline, the flat cap over [0, M_bar] joined
 with the sampled curve, which answers membership, height and distance
@@ -50,12 +51,13 @@ _DISTANCE_BLOCK = 64
 # longer one goes through numpy, which is then the faster of the two.
 _SCAN_MAX = 24
 
-# Backward time span allowed for the frontier orbit to leave the box.
-_FRONTIER_HORIZON = 1e4
-
-# Integrator tolerances of the frontier orbit.  On the worst known cell
-# (Cali rates, u_max = 0.0127..., leaving through m = 1) they end it 2.6e-10
-# off the time-reversed orbit's exit, where rtol = 1e-9 misses by 2.1e-8.
+# Integrator tolerances of the frontier trace in m.  Against the
+# time-reversed orbit's exit they end it 4.0e-12 off on the Cali baseline,
+# 2.75e-10 on the cell u_max = 0.0127... that leaves through m = 1 (where
+# rtol = 1e-9 misses by 2.3e-8) and 5.2e-10 on the worst known such cell.
+# Within 1e-8 above the lower threshold, where (M_bar, H_bar) lies near the
+# node and the quotient starts as 0 over a tiny negative g_m, the end
+# misses by up to 3.2e-9 (u_max = 0.0099..., H_bar = lower + 1e-8).
 _FRONTIER_RTOL = 1e-11
 _FRONTIER_ATOL = 1e-12
 
@@ -81,9 +83,9 @@ def _check_cap(H_bar: float) -> None:
 
 
 class FrontierIntegrationError(RuntimeError):
-    """The backward u_max orbit from (M_bar, H_bar) does not trace a
-    frontier: it is not a graph over m, it stays in the box up to the time
-    horizon, or the integrator failed."""
+    """The frontier cannot be traced from (M_bar, H_bar): it does not start
+    towards larger m (g_m >= 0 there under u_max), or the integrator
+    failed."""
 
 
 def regime_thresholds(rates: ModelRates, u_max: float | None = None) -> tuple[float, float]:
@@ -307,14 +309,14 @@ def boundary_curve(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Trace the frontier as the u_max orbit arriving at (M_bar, H_bar).
 
-    The field (g_m, g_h) under maximal fumigation is integrated backwards
-    in time from (M_bar, H_bar) until the orbit leaves the box through
-    h = 0 (M_inf < 1) or m = 1 (M_inf = 1).  Along the way m must not
-    decrease, so that the orbit is the graph of Y over [M_bar, M_inf].
-    The orbit is integrated at the fixed rtol = 1e-11, atol = 1e-12, which
-    end the curve within 1e-8 of the time-reversed orbit's exit on every
-    known cell.  A looser rtol breaks that; a tighter one changes nothing
-    visible, as the chords between samples sag by 1e-5 or more.
+    The orbit is the graph of Y over [M_bar, M_inf], and Y solves the
+    boundary ODE Y'(m) = g_h / g_m under maximal fumigation, integrated in
+    m from Y(M_bar) = H_bar towards m = 1.  Where Y reaches 0, that root is
+    M_inf < 1; if it stays positive, M_inf = 1 and Y(1) ends the curve.
+    The trace runs at the fixed rtol = 1e-11, atol = 1e-12, which end it
+    within 1e-8 of the time-reversed orbit's exit on every known cell.  A
+    looser rtol breaks that; a tighter one changes nothing visible, as the
+    chords between samples sag by 1e-5 or more.
     Returns (M_inf, m_samples, y_samples): samples at M_bar + k*step, with
     a last grid point crowding M_inf dropped, followed by M_inf itself.
     """
@@ -323,61 +325,34 @@ def boundary_curve(
     mb = m_bar(rates, H_bar)
     if mb >= 1.0:
         raise ValueError("frontier start M_bar >= 1; cap is not in the medium regime")
-    # With g_m < 0 at the start, m increases and h decreases along the
-    # whole backward orbit, so it leaves the box as a graph over m.
+    # With g_m < 0 at the start, g_m only grows more negative as m rises
+    # and Y falls, so the quotient g_h / g_m stays regular along the trace.
     if g_m(mb, H_bar, rates.u_max, rates) >= 0.0:
         raise FrontierIntegrationError(
-            "backward orbit does not start towards larger m; "
+            "frontier does not start towards larger m; "
             "parameters violate the medium-regime hypotheses"
         )
 
-    def rhs(t, m, h):
-        return -g_m(m, h, rates.u_max, rates), -g_h(m, h, rates)
+    def rhs(s, m, y):  # the state (m, Y) along s = m
+        return 1.0, g_h(m, y, rates) / g_m(m, y, rates.u_max, rates)
 
-    def inside(t, m, h):  # positive in the box, 0 where the orbit leaves it
-        return min(h, 1.0 - m)
+    def height(s, m, y):  # 0 where the frontier reaches h = 0
+        return y
 
     rows: list[tuple] = []
     try:
-        _, t_exit = _dopri(rhs, 0.0, (mb, H_bar), _FRONTIER_HORIZON,
-                           _FRONTIER_RTOL, _FRONTIER_ATOL, inside, rows)
+        (_, y_one), m_zero = _dopri(rhs, mb, (mb, H_bar), 1.0, _FRONTIER_RTOL, _FRONTIER_ATOL,
+                                    height, rows)
     except SimulationError as exc:
-        raise FrontierIntegrationError(f"backward orbit integration failed: {exc}") from exc
-    if t_exit is None:
-        raise FrontierIntegrationError(
-            f"backward orbit did not leave the box by t = {_FRONTIER_HORIZON}"
-        )
-    steps = np.array(rows)
-    m_exit, h_exit = _dense(steps, np.array([t_exit]))[:, 0]
-    t_steps = np.append(steps[:, 0], t_exit)
-    m_steps = np.append(steps[:, 2], m_exit)
-    # Steps may leave m unchanged at float resolution when the start lies
-    # near the equilibrium (H_bar just above the lower threshold).
-    if np.any(np.diff(m_steps) < 0.0):
-        raise FrontierIntegrationError(
-            "backward orbit is not a graph over m; "
-            "parameters violate the medium-regime hypotheses"
-        )
-    if h_exit < 1.0 - m_exit:
-        m_inf, y_end = float(m_exit), 0.0
-    else:
-        m_inf, y_end = 1.0, float(h_exit)
+        raise FrontierIntegrationError(f"frontier integration failed: {exc}") from exc
+    m_inf, y_end = (1.0, y_one) if m_zero is None else (m_zero, 0.0)
 
     m_grid = np.arange(mb, m_inf, step)
     # Trim a last grid point crowding M_inf, but never the start M_bar.
     if m_grid.size > 1 and m_inf - m_grid[-1] < 0.25 * step:
         m_grid = m_grid[:-1]
     m_samples = np.append(m_grid, m_inf)
-    # Times at which the orbit crosses each sample m: interpolate over the
-    # solver steps, then refine with Newton on the dense output, where
-    # dm/dt = -g_m and dh/dt = -g_h along the reversed orbit.  The last
-    # time correction is carried to h to first order instead of evaluated.
-    t = np.interp(m_samples, m_steps, t_steps)
-    for _ in range(3):
-        m, h = _dense(steps, t)
-        dt = (m - m_samples) / g_m(m, h, rates.u_max, rates)
-        t += dt
-    y_samples = h - g_h(m, h, rates) * dt
+    y_samples = _dense(np.array(rows), m_samples)[1]
     y_samples[0] = H_bar
     y_samples[-1] = y_end
     # Integration noise can leave tiny out-of-range tail values near zero.

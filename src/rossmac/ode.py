@@ -1,4 +1,4 @@
-"""The Dormand-Prince 5(4) loop of `simulate`, of the frontier orbit and of
+"""The Dormand-Prince 5(4) loop of `simulate`, of the frontier trace and of
 the fit, the library's only integrator.
 
 It is scipy's RK45 step for step (same tableau, initial step, error norm

@@ -4,10 +4,11 @@ The frontier Y(m) is an orbit of the field (g_m, g_h) under maximal
 fumigation that arrives at (M_bar, H_bar).  Integrating that field
 backwards in time from (M_bar, H_bar) traces the frontier, and the point
 where the orbit leaves the box [0, 1] x [0, H_bar] gives the frontier's
-end (M_inf, Y(M_inf)).  The library traces the frontier the same way, so
-the samples in between are also checked against a second method: the
-boundary ODE Y'(m) = g_h / g_m, integrated forward in m from
-(M_bar, H_bar).
+end (M_inf, Y(M_inf)).  The library does not integrate in time, so this
+is the independent oracle.  `boundary_ode_values` integrates the boundary
+ODE Y'(m) = g_h / g_m forward in m from (M_bar, H_bar), which is the
+library's own formulation: it checks the samples in between for
+consistency with scipy's RK45, not independently.
 
 Membership is checked in forward time alone by `least_cap`, the lowest cap
 that fumigation up to u_max holds from a state: the kernel for H_bar is

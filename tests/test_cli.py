@@ -134,7 +134,7 @@ class TestBoundary:
     def test_default_tolerances_meet_the_m1_exit(self, tmp_path, capsys):
         # The frontier is traced at the kernel's fixed tolerances.  On this
         # cell, which leaves the box through m = 1, rtol = 1e-9 put the last
-        # row 2.1e-8 off the backward orbit's exit; the fixed ones miss by 2.6e-10.
+        # row 2.3e-8 off the backward orbit's exit; the fixed ones miss by 2.75e-10.
         u_max, H_bar = 0.01271789327358196, 0.7305437433203956
         cell = {**MEDIUM, "u_max": repr(u_max), "H_bar": repr(H_bar)}
         code, _, err = run("boundary", tmp_path, cell, capsys)

@@ -2,11 +2,13 @@
 
 Medium-regime fixtures use the reduced rates A_h=0.31066, A_m=0.02906,
 gamma=0.1, u_max=0.03733 with H_bar=0.5.  The library traces the frontier
-as the backward u_max orbit from (M_bar, H_bar).  Its endpoint for that
-instance is frozen at M_inf = 0.427869601 and is also cross-checked at run
-time against a tighter backward orbit (tests/frontier_oracle.py); the two
-agree to 1e-9.  The samples in between are checked against the boundary
-ODE Y'(m) = g_h / g_m, integrated in m by the same oracle module.
+as the boundary ODE Y'(m) = g_h / g_m under u_max, integrated in m from
+(M_bar, H_bar).  Its endpoint for that instance is frozen at
+M_inf = 0.427869601 and is also cross-checked at run time against the
+time-reversed u_max orbit (tests/frontier_oracle.py), an independent
+method; the two agree to 1e-9.  The samples in between are checked
+against scipy's RK45 on the same boundary ODE, which checks consistency
+only, as it is the library's own formulation.
 """
 
 import math
@@ -182,7 +184,25 @@ class TestBoundaryCurve:
             assert desc.M_inf == pytest.approx(orbit.m, abs=1e-8)
             assert desc.frontier_y[-1] == pytest.approx(orbit.h, abs=1e-8)
 
+    def test_near_the_lower_threshold(self):
+        # Just above the lower threshold, (M_bar, H_bar) lies near the node
+        # of the u_max field, where the quotient g_h / g_m is 0 over a tiny
+        # negative g_m.  The last cell is the worst one a scan found.
+        worst = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.005,
+                           u_max=0.009914664442985983)
+        cells = [(MEDIUM_RATES, gap) for gap in (1e-14, 1e-10, 1e-8)] + [(worst, 1e-8)]
+        for rates, gap in cells:
+            H_bar = regime_thresholds(rates)[0] + gap
+            m_inf, fm, fy = boundary_curve(rates, H_bar)
+            assert np.all(np.diff(fy) < 0.0)
+            orbit = reversed_orbit_exit(rates, fm[0], H_bar)
+            assert orbit.edge == "h=0" and fy[-1] == 0.0
+            assert m_inf == pytest.approx(orbit.m, abs=1e-8)
+
     def test_samples_match_boundary_ode(self, medium_kernel):
+        # boundary_ode_values integrates the library's own formulation, so
+        # this checks consistency with scipy's RK45; the independent oracle
+        # is the time-reversed orbit of the end-point tests.
         kernels = (
             (MEDIUM_RATES, medium_kernel),
             (STRONG_RATES, build_kernel(STRONG_RATES, 0.5)),
@@ -193,8 +213,8 @@ class TestBoundaryCurve:
             assert np.max(np.abs(y - desc.frontier_y)) < 1e-8
 
     def test_low_regime_precondition_reported(self):
-        # In the low regime g_m starts nonnegative: the backward orbit heads
-        # towards smaller m and is no graph over [M_bar, M_inf].
+        # In the low regime g_m starts nonnegative: the u_max orbit arriving
+        # at (M_bar, H_bar) does not come from larger m.
         with pytest.raises(FrontierIntegrationError):
             boundary_curve(MEDIUM_RATES, 0.4, step=1e-3)
 
@@ -261,7 +281,7 @@ class TestMembership:
     @pytest.mark.parametrize("rates, H_bar", [(MEDIUM_RATES, 0.5), (STRONG_RATES, 0.5),
                                               (Y1_RATES, Y1_H_BAR)], ids=["baseline", "strong", "y1"])
     def test_agrees_with_forward_least_cap(self, rates, H_bar):
-        # contains reads the polyline of the backward orbit; least_cap uses
+        # contains reads the polyline of the frontier trace; least_cap uses
         # forward time alone.  Points within four chord sags (|Y''| dx^2 / 8,
         # Y'' from the samples) of the polyline are left out.  Half the
         # points lie 1.5 to 3 such bands above or below the curve.

@@ -56,15 +56,20 @@ def test_simulate_steps_match_the_loop_form(solves, kind):
         "piecewise": PiecewiseConstantControl(((0.0, 0.01), (40.0, 0.03733), (90.0, 0.02))),
         "feedback": SaturatingFeedback(build_kernel(MEDIUM_RATES, 0.5), 0.01, 0.03733),
     }[kind]
-    solves.clear()  # the feedback kernel's own frontier orbit
+    solves.clear()  # the feedback kernel's own frontier trace
     simulate(State(0.2, 0.1), policy, MEDIUM_RATES, 150.0, dt_out=0.5)
     assert_same_steps(solves, 3 if kind == "piecewise" else 1)
 
 
-@pytest.mark.parametrize("rates, H_bar", [(MEDIUM_RATES, 0.5), (STRONG_RATES, 0.5),
-                                          (Y1_RATES, Y1_H_BAR)],
+@pytest.mark.parametrize("rates, H_bar, edge", [(MEDIUM_RATES, 0.5, "h=0"),
+                                                (STRONG_RATES, 0.5, "m=1"),
+                                                (Y1_RATES, Y1_H_BAR, "m=1")],
                          ids=["baseline", "strong", "m=1"])
-def test_frontier_steps_match_the_loop_form(solves, rates, H_bar):
-    boundary_curve(rates, H_bar)
+def test_frontier_steps_match_the_loop_form(solves, rates, H_bar, edge):
+    m_inf = boundary_curve(rates, H_bar)[0]
     assert_same_steps(solves, 1)
-    assert solves[0][2][1] is not None  # the orbit left the box at an event root
+    root = solves[0][2][1]
+    if edge == "h=0":  # Y reaches 0 at the event root, which is M_inf
+        assert root is not None and root == m_inf < 1.0
+    else:  # no root: the trace runs to the span's end, M_inf = 1
+        assert root is None and m_inf == 1.0
