@@ -13,7 +13,8 @@ Three regimes arise depending on the cap H_bar on infected humans:
 
 The frontier is held as one polyline, the flat cap over [0, M_bar] joined
 with the sampled curve, which answers membership, height and distance
-queries alike.
+queries alike.  One record holds its columns: the vertices xs, ys and -ys
+and the segments' dx, dy, ux and uy, as arrays and as lists.
 
 Membership and distance take arrays, broadcast over all segments, or one
 point of two finite floats, answered in plain Python with the same
@@ -109,13 +110,23 @@ def _regime_code(lower, upper, H):
     return 2 * (H >= upper) + ((lower > 0.0) & (H < lower))
 
 
+def _frontier_starts(rates: ModelRates, H_bar: float) -> bool:
+    """Whether the frontier leaves (M_bar, H_bar) towards larger m: g_m < 0
+    there under u_max.  It then only grows more negative as m rises and Y
+    falls, so the quotient g_h / g_m stays regular along the trace."""
+    return g_m(m_bar(rates, H_bar), H_bar, rates.u_max, rates) < 0.0
+
+
 def _classify(rates: ModelRates, H_bar: float) -> tuple[Regime, bool]:
-    """Regime of one cap, and whether it is a medium one outside the
-    positivity hypothesis on the lower threshold."""
+    """Regime of one cap, and whether it is a medium one outside the proven
+    hypotheses: its lower threshold is nonpositive, or its frontier cannot
+    start, as at H_bar = lower, where (M_bar, H_bar) is the u_max
+    equilibrium and rounding can leave g_m >= 0."""
     _check_cap(H_bar)
     lower, upper = regime_thresholds(rates)
     regime = _REGIMES[_regime_code(lower, upper, H_bar)]
-    return regime, regime is Regime.MEDIUM and lower <= 0.0
+    medium = regime is Regime.MEDIUM
+    return regime, medium and (lower <= 0.0 or not _frontier_starts(rates, H_bar))
 
 
 def classify_regime(rates: ModelRates, H_bar: float) -> Regime:
@@ -132,7 +143,7 @@ def classify_regime(rates: ModelRates, H_bar: float) -> Regime:
 
 def outside_proven_hypotheses(rates: ModelRates, H_bar: float) -> bool:
     """True when the medium classification falls outside the positivity
-    hypothesis on the lower threshold."""
+    hypothesis on the lower threshold, or its frontier cannot start."""
     return _classify(rates, H_bar)[1]
 
 
@@ -161,15 +172,12 @@ class KernelDescription:
     frontier_m: np.ndarray | None = None
     frontier_y: np.ndarray | None = None
     outside_proven_hypotheses: bool = False
-    _polyline: tuple[np.ndarray, np.ndarray] | None = field(
+    # The polyline's columns (xs, ys, -ys, dx, dy, ux, uy): the vertices, and
+    # per segment its run, its rise and these over its squared length.  Held
+    # as arrays for the array queries and as lists for the one-point ones.
+    _frontier: tuple[tuple[np.ndarray, ...], tuple[list, ...]] | None = field(
         default=None, repr=False, compare=False
     )
-    _segments: tuple[np.ndarray, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
-    # xs, ys and -ys of the vertices, the np.interp slopes and (dx, dy, ux,
-    # uy) of the segments as lists, for the one-point queries.
-    _lists: tuple[list, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_cap(self.H_bar)
@@ -191,20 +199,15 @@ class KernelDescription:
         dx, dy = np.diff(xs), np.diff(ys)
         seg2 = dx * dx + dy * dy
         seg2 = np.where(seg2 > 0.0, seg2, 1.0)
-        segments = (xs[:-1], ys[:-1], dx, dy, dx / seg2, dy / seg2)
-        slopes = dy / np.where(dx > 0.0, dx, 1.0)  # np.interp's (unused where dx = 0)
-        object.__setattr__(self, "_polyline", (xs, ys))
-        object.__setattr__(self, "_segments", segments)
-        object.__setattr__(
-            self, "_lists", tuple(a.tolist() for a in (xs, ys, -ys, slopes, *segments[2:]))
-        )
+        columns = (xs, ys, -ys, dx, dy, dx / seg2, dy / seg2)
+        object.__setattr__(self, "_frontier", (columns, tuple(a.tolist() for a in columns)))
 
     def frontier_value(self, m) -> np.ndarray:
         """Frontier height Y(m) read off the polyline; H_bar below M_bar
         and Y(M_inf) beyond M_inf."""
-        if self._polyline is None:
+        if self._frontier is None:
             raise ValueError("frontier only defined for the medium regime")
-        return np.interp(m, *self._polyline)
+        return np.interp(m, *self._frontier[0][:2])
 
     def contains(self, m, h) -> np.ndarray:
         """Whether points (m, h), scalars or arrays, lie in the closed kernel.
@@ -213,7 +216,7 @@ class KernelDescription:
         to the cap alone; beyond M_inf nothing is inside, and neither is a
         point with an infinite or NaN coordinate.
         """
-        if self._lists is not None and _is_point(m, h):
+        if self._frontier is not None and _is_point(m, h):
             return m <= self.M_inf and h <= self._height(m)
         m, h = np.asarray(m, dtype=float), np.asarray(h, dtype=float)
         if self.regime is Regime.LOW:
@@ -221,35 +224,35 @@ class KernelDescription:
         finite = np.isfinite(m) & np.isfinite(h)
         if self.regime is Regime.HIGH:
             return finite & (h <= self.H_bar)
-        return finite & (m <= self.M_inf) & (h <= np.interp(m, *self._polyline))
+        return finite & (m <= self.M_inf) & (h <= self.frontier_value(m))
 
     def frontier_distance(self, m, h) -> np.ndarray:
         """Euclidean distance from points (m, h), scalars or arrays, to the
         upper frontier polyline, whether or not they lie in the kernel: inf
         for a point with an infinite coordinate, NaN for one with a NaN."""
-        if self._segments is None:
+        if self._frontier is None:
             raise ValueError("distance to frontier is only defined for medium kernels")
         if _is_point(m, h):
             return self._point_distance(float(m), float(h))
-        ax, ay = self._segments[:2]
         m, h = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(h, dtype=float))
         bad = ~(np.isfinite(m) & np.isfinite(h))
-        px, py = np.where(bad, 0.0, m).reshape(-1, 1), np.where(bad, 0.0, h).reshape(-1, 1)
+        pm, ph = np.where(bad, 0.0, m).reshape(-1, 1), np.where(bad, 0.0, h).reshape(-1, 1)
         out = np.empty(m.size)
         # Blocks of points bound the (points x segments) temporaries.
         for i in range(0, out.size, _DISTANCE_BLOCK):
             block = slice(i, i + _DISTANCE_BLOCK)
-            out[block] = self._nearest(px[block] - ax, py[block] - ay)
+            out[block] = self._nearest(pm[block], ph[block])
         # |m| + |h| is inf or NaN exactly at the bad points; [()] keeps a 0-d
         # result a scalar.
         return np.where(bad, np.abs(m) + np.abs(h), out.reshape(m.shape))[()]
 
-    def _nearest(self, px, py) -> np.ndarray:
-        """Point-to-segment distance minimised over the segments, given the
-        offsets (px, py) of points from the segment starts, which run along
-        the last axis.  Works in place on px and py, in squares up to one
-        square root after the minimum."""
-        dx, dy, ux, uy = self._segments[2:]
+    def _nearest(self, m, h) -> np.ndarray:
+        """Point-to-segment distance minimised over the segments, for points
+        (m, h) given as one scalar or as columns, the segments running along
+        the last axis.  Works in place on the offsets from the segment
+        starts, in squares up to one square root after the minimum."""
+        xs, ys, _, dx, dy, ux, uy = self._frontier[0]
+        px, py = m - xs[:-1], h - ys[:-1]
         t = px * ux
         t += py * uy
         np.maximum(t, 0.0, out=t)
@@ -262,19 +265,20 @@ class KernelDescription:
         return np.sqrt(px.min(-1))
 
     def _height(self, m: float) -> float:
-        """np.interp(m, *self._polyline) for one float m, to the bit."""
-        xs, ys, _, slopes = self._lists[:4]
+        """frontier_value(m) for one float m, to the bit: np.interp's
+        slope is the same quotient dy / dx."""
+        xs, ys, _, dx, dy = self._frontier[1][:5]
         j = bisect_right(xs, m) - 1
         if j < 0:
             return ys[0]
-        if j == len(slopes) or xs[j] == m:
+        if j == len(dx) or xs[j] == m:
             return ys[j]
-        return slopes[j] * (m - xs[j]) + ys[j]
+        return dy[j] / dx[j] * (m - xs[j]) + ys[j]
 
     def _point_distance(self, m: float, h: float) -> float:
         """_nearest for one point, over the run of segments whose boxes lie
         within an upper bound of its distance (see the module docstring)."""
-        xs, ys, nys, _, dx, dy, ux, uy = self._lists
+        xs, ys, nys, dx, dy, ux, uy = self._frontier[1]
         n = len(dx)
 
         def seg2(i: int) -> float:
@@ -295,8 +299,7 @@ class KernelDescription:
         lo = max(bisect_left(xs, m - b), bisect_left(nys, -h - b), 1) - 1
         hi = min(bisect_right(xs, m + b), bisect_right(nys, b - h), n)
         if hi - lo > _SCAN_MAX:
-            ax, ay = self._segments[:2]
-            return float(self._nearest(m - ax, h - ay))
+            return float(self._nearest(m, h))
         for i in range(lo, hi):
             d2 = seg2(i)
             if d2 < best:
@@ -325,9 +328,7 @@ def boundary_curve(
     mb = m_bar(rates, H_bar)
     if mb >= 1.0:
         raise ValueError("frontier start M_bar >= 1; cap is not in the medium regime")
-    # With g_m < 0 at the start, g_m only grows more negative as m rises
-    # and Y falls, so the quotient g_h / g_m stays regular along the trace.
-    if g_m(mb, H_bar, rates.u_max, rates) >= 0.0:
+    if not _frontier_starts(rates, H_bar):
         raise FrontierIntegrationError(
             "frontier does not start towards larger m; "
             "parameters violate the medium-regime hypotheses"
@@ -352,8 +353,8 @@ def boundary_curve(
     if m_grid.size > 1 and m_inf - m_grid[-1] < 0.25 * step:
         m_grid = m_grid[:-1]
     m_samples = np.append(m_grid, m_inf)
+    # The dense output at the first step's start is its row's state, H_bar.
     y_samples = _dense(np.array(rows), m_samples)[1]
-    y_samples[0] = H_bar
     y_samples[-1] = y_end
     # Integration noise can leave tiny out-of-range tail values near zero.
     y_samples = np.clip(y_samples, 0.0, H_bar)

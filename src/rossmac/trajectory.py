@@ -159,9 +159,6 @@ def simulate(
         raise ValueError(
             f"policy emits controls in [{lo}, {hi}] outside [{rates.u_min}, {rates.u_max}]"
         )
-    def rhs(t, m, h):
-        u = float(policy.control(t, m, h))
-        return g_m(m, h, u, rates), g_h(m, h, rates)
 
     grid = np.arange(0.0, horizon, dt_out)
     if horizon - grid[-1] > 1e-12 * max(1.0, horizon):
@@ -169,12 +166,18 @@ def simulate(
     else:
         grid[-1] = horizon
 
-    # Piecewise-constant controls are integrated segment by segment so that
-    # control discontinuities coincide with integrator restarts.
+    # Piecewise-constant controls are integrated piece by piece so that
+    # control discontinuities coincide with integrator restarts.  The piece
+    # [a, b] reads its own rate up to b: the control is right-continuous, so
+    # the stages at t = b would read the next piece's.
     cuts = [0.0] + policy.breakpoints_within(horizon) + [horizon]
     steps: list[tuple] = []
     y = (initial.m, initial.h)
     for a, b in zip(cuts, cuts[1:]):
+        def rhs(t, m, h, last=math.nextafter(b, a)):
+            u = float(policy.control(min(t, last), m, h))
+            return g_m(m, h, u, rates), g_h(m, h, rates)
+
         y, root = _dopri(rhs, a, y, b, rtol, atol, stop_event, steps)
         if root is not None:
             grid = np.append(grid[grid < root - 1e-15], root)

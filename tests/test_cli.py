@@ -56,6 +56,19 @@ class TestClassify:
         code, out, _ = run("classify", tmp_path, {**MEDIUM, "H_bar": "0.9"}, capsys)
         assert code == 0 and out["regime"] == "high"
 
+    def test_cap_whose_frontier_cannot_start_is_flagged(self, tmp_path, capsys):
+        # H_bar is the lower threshold itself, which boundary refuses; one ulp
+        # above, the frontier traces (see tests/test_kernel.py).
+        at_lower = {**MEDIUM, "H_bar": "0.44368002237949816"}
+        code, out, _ = run("classify", tmp_path, at_lower, capsys)
+        assert code == 0 and out["regime"] == "medium"
+        assert out["outside_proven_hypotheses"] == "true"
+        code, _, err = run("boundary", tmp_path, at_lower, capsys)
+        assert code == 1 and "does not start" in err
+        above = {**MEDIUM, "H_bar": "0.4436800223794982"}
+        code, out, _ = run("classify", tmp_path, above, capsys)
+        assert code == 0 and out["outside_proven_hypotheses"] == "false"
+
     def test_raw_parameter_config(self, tmp_path, capsys):
         cfg = {
             "alpha": "0.3365", "p_h": "0.2287", "p_m": "0.1532", "xi": "1.0359",

@@ -93,6 +93,21 @@ class TestClassification:
         assert outside_proven_hypotheses(rates, 0.3)
         assert not outside_proven_hypotheses(MEDIUM_RATES, 0.5)
 
+    def test_cap_whose_frontier_cannot_start_is_flagged(self):
+        # At H_bar = lower, (M_bar, H_bar) is the u_max equilibrium and g_m
+        # rounds to 3.5e-18 >= 0: the frontier cannot start.  One ulp above,
+        # it can.
+        lower = regime_thresholds(MEDIUM_RATES)[0]
+        assert lower == 0.44368002237949816
+        assert classify_regime(MEDIUM_RATES, lower) is Regime.MEDIUM
+        assert outside_proven_hypotheses(MEDIUM_RATES, lower)
+        with pytest.raises(FrontierIntegrationError):
+            boundary_curve(MEDIUM_RATES, lower)
+        above = math.nextafter(lower, 1.0)
+        assert not outside_proven_hypotheses(MEDIUM_RATES, above)
+        desc = build_kernel(MEDIUM_RATES, above)
+        assert desc.regime is Regime.MEDIUM and not desc.outside_proven_hypotheses
+
     def test_zero_am_rejected(self):
         rates = ModelRates(A_m=0.0, A_h=0.3, gamma=0.1, u_min=0.0, u_max=0.1)
         with pytest.raises(ValueError, match="threshold undefined"):

@@ -151,10 +151,8 @@ class CountingPolicy:
 
 def scipy_rk45(initial, policy, rates, grid, rtol, atol, stop_event=None):
     """Samples of solve_ivp(method="RK45") on the grid, restarted at the
-    policy's breakpoints, with its nfev and the terminal event time."""
-    def rhs(t, z):
-        return [g_m(z[0], z[1], policy.control(t, z[0], z[1]), rates), g_h(z[0], z[1], rates)]
-
+    policy's breakpoints, with its nfev and the terminal event time.  Each
+    piece [a, b] reads its own rate up to b, as in `simulate`."""
     events = None
     if stop_event is not None:
         events = lambda t, z: stop_event(t, z[0], z[1])  # noqa: E731
@@ -162,6 +160,10 @@ def scipy_rk45(initial, policy, rates, grid, rtol, atol, stop_event=None):
     cuts = [0.0] + policy.breakpoints_within(grid[-1]) + [grid[-1]]
     z, nfev, samples = [initial.m, initial.h], 0, []
     for a, b in zip(cuts, cuts[1:]):
+        def rhs(t, z, last=math.nextafter(b, a)):
+            u = policy.control(min(t, last), z[0], z[1])
+            return [g_m(z[0], z[1], u, rates), g_h(z[0], z[1], rates)]
+
         sol = solve_ivp(rhs, (a, b), z, method="RK45", rtol=rtol, atol=atol,
                         dense_output=True, events=events)
         nfev += sol.nfev
@@ -261,6 +263,28 @@ class TestScipyParity:
         with pytest.raises(SimulationError, match="too many steps") as exc:
             simulate(State(0.1, 0.1), ConstantControl(0.02), stiff, 200.0)
         assert 0.0 < exc.value.at_time < 200.0
+
+
+def test_piecewise_run_equals_its_chained_constant_pieces():
+    # Each piece reads its own rate up to its end, so the run takes the steps
+    # of three constant runs, each started from where the last one ended.
+    rates = STRONG_RATES
+    schedule = ((0.0, 0.01), (50.0, 0.3733), (100.0, 0.01))
+    piecewise = CountingPolicy(PiecewiseConstantControl(schedule))
+    traj = simulate(State(0.2, 0.3), piecewise, rates, 150.0, dt_out=1.0)
+    start, calls, pieces = State(0.2, 0.3), 0, []
+    for _, u in schedule:
+        constant = CountingPolicy(ConstantControl(u))
+        piece = simulate(start, constant, rates, 50.0, dt_out=1.0)
+        start, calls = State(*piece.final_state()), calls + constant.calls
+        pieces.append(piece)
+    assert piecewise.calls == calls
+    for i, piece in enumerate(pieces):
+        span = slice(50 * i, 50 * (i + 1) + 1)
+        assert np.max(np.abs(traj.m[span] - piece.m)) <= 1e-15
+        assert np.max(np.abs(traj.h[span] - piece.h)) <= 1e-15
+    # A sample on a breakpoint shows the new piece's rate.
+    assert traj.u[50] == 0.3733 and traj.u[100] == 0.01
 
 
 def test_open_loop_simulate_loads_no_scipy(tmp_path):
