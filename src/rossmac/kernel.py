@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rossmac.model import ModelRates, State, _endemic_h, g_h, g_m
-from rossmac.ode import SimulationError, _dense, _dopri
+from rossmac.ode import _MAX_SAMPLES, SimulationError, _dense, _dopri
 
 
 # Points per block of frontier_distance: a block's (points x segments)
@@ -159,24 +159,26 @@ def m_bar(rates: ModelRates, H_bar: float) -> float:
 class KernelDescription:
     """Tagged description of the viability kernel for a given cap.
 
-    For the medium regime the frontier curve is stored as ascending-m
+    For the medium regime the frontier curve is given as ascending-m
     samples (frontier_m, frontier_y) running from (M_bar, H_bar) to
-    (M_inf, Y(M_inf)).  Queries read one polyline: the flat cap segment
-    over [0, M_bar] joined with the chords between the samples.
+    (M_inf, Y(M_inf)): M_bar and M_inf are read off the samples' ends, and
+    the kernel holds the samples as read-only float copies.
+    Queries read one polyline: the flat cap segment over [0, M_bar] joined
+    with the chords between the samples.
     """
 
     regime: Regime
     H_bar: float
-    M_bar: float | None = None
-    M_inf: float | None = None
     frontier_m: np.ndarray | None = None
     frontier_y: np.ndarray | None = None
     outside_proven_hypotheses: bool = False
+    M_bar: float | None = field(default=None, init=False)
+    M_inf: float | None = field(default=None, init=False)
     # The polyline's columns (xs, ys, -ys, dx, dy, ux, uy): the vertices, and
     # per segment its run, its rise and these over its squared length.  Held
     # as arrays for the array queries and as lists for the one-point ones.
     _frontier: tuple[tuple[np.ndarray, ...], tuple[list, ...]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -185,11 +187,18 @@ class KernelDescription:
             return
         if self.frontier_m is None or self.frontier_y is None:
             raise ValueError("medium kernel requires frontier samples")
-        fm, fy = self.frontier_m, self.frontier_y
+        # Copies that no caller can write keep the samples and the record
+        # built from them in step.
+        fm, fy = np.array(self.frontier_m, dtype=float), np.array(self.frontier_y, dtype=float)
+        fm.flags.writeable = fy.flags.writeable = False
+        object.__setattr__(self, "frontier_m", fm)
+        object.__setattr__(self, "frontier_y", fy)
+        object.__setattr__(self, "M_bar", float(fm[0]))
+        object.__setattr__(self, "M_inf", float(fm[-1]))
         if not (self.M_bar < self.M_inf <= 1.0):
             raise ValueError("medium kernel requires M_bar < M_inf <= 1")
-        if abs(fm[0] - self.M_bar) > 1e-12 or abs(fy[0] - self.H_bar) > 1e-12:
-            raise ValueError("frontier must start at (M_bar, H_bar)")
+        if abs(fy[0] - self.H_bar) > 1e-12:
+            raise ValueError("frontier must start at h = H_bar")
         if np.any(np.diff(fm) <= 0.0) or np.any(np.diff(fy) >= 0.0):
             raise ValueError("frontier must be strictly decreasing in Y")
         if np.any(fm < 0.0) or np.any(fm > 1.0) or np.any(fy < 0.0) or np.any(fy > 1.0):
@@ -309,7 +318,7 @@ class KernelDescription:
 
 def boundary_curve(
     rates: ModelRates, H_bar: float, step: float = DEFAULT_STEP
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Trace the frontier as the u_max orbit arriving at (M_bar, H_bar).
 
     The orbit is the graph of Y over [M_bar, M_inf], and Y solves the
@@ -320,8 +329,11 @@ def boundary_curve(
     within 1e-8 of the time-reversed orbit's exit on every known cell.  A
     looser rtol breaks that; a tighter one changes nothing visible, as the
     chords between samples sag by 1e-5 or more.
-    Returns (M_inf, m_samples, y_samples): samples at M_bar + k*step, with
-    a last grid point crowding M_inf dropped, followed by M_inf itself.
+    Returns (m_samples, y_samples): samples at M_bar + k*step, with a last
+    grid point crowding M_inf dropped, followed by M_inf itself, so that
+    the samples' ends are M_bar and M_inf.  A step giving more than
+    `_MAX_SAMPLES` samples over [M_bar, M_inf] is refused once the trace
+    has found M_inf.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step!r}")
@@ -347,6 +359,9 @@ def boundary_curve(
     except SimulationError as exc:
         raise FrontierIntegrationError(f"frontier integration failed: {exc}") from exc
     m_inf, y_end = (1.0, y_one) if m_zero is None else (m_zero, 0.0)
+    if (m_inf - mb) / step > _MAX_SAMPLES:
+        raise ValueError(f"step={step!r} gives more than {_MAX_SAMPLES} frontier samples "
+                         f"over [M_bar, M_inf] = [{mb!r}, {m_inf!r}]")
 
     m_grid = np.arange(mb, m_inf, step)
     # Trim a last grid point crowding M_inf, but never the start M_bar.
@@ -358,7 +373,7 @@ def boundary_curve(
     y_samples[-1] = y_end
     # Integration noise can leave tiny out-of-range tail values near zero.
     y_samples = np.clip(y_samples, 0.0, H_bar)
-    return m_inf, m_samples, y_samples
+    return m_samples, y_samples
 
 
 def build_kernel(rates: ModelRates, H_bar: float, step: float = DEFAULT_STEP) -> KernelDescription:
@@ -368,12 +383,10 @@ def build_kernel(rates: ModelRates, H_bar: float, step: float = DEFAULT_STEP) ->
     regime, outside = _classify(rates, H_bar)
     if regime is not Regime.MEDIUM:
         return KernelDescription(regime=regime, H_bar=H_bar)
-    m_inf, fm, fy = boundary_curve(rates, H_bar, step)
+    fm, fy = boundary_curve(rates, H_bar, step)
     return KernelDescription(
         regime=Regime.MEDIUM,
         H_bar=H_bar,
-        M_bar=float(fm[0]),
-        M_inf=m_inf,
         frontier_m=fm,
         frontier_y=fy,
         outside_proven_hypotheses=outside,

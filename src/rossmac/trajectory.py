@@ -25,14 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rossmac.kernel import KernelDescription, Regime, _check_cap, _is_point
-from rossmac.model import ModelRates, State, g_h, g_m
-from rossmac.ode import SimulationError, _dense, _dopri  # noqa: F401 (SimulationError re-exported)
-
-# Most samples `simulate` returns, horizon / dt_out.  The dense output and the
-# policy's control on the whole grid make peak memory grow with the samples:
-# about 60 MiB for 10^5 and 310 MiB for 10^6 (Python 3.11, numpy 2.4), so a
-# tiny dt_out is refused with its name instead of failing to allocate.
-_MAX_SAMPLES = 10**6
+from rossmac.model import ModelRates, State, _check_control, g_h, g_m
+from rossmac.ode import (  # noqa: F401 (SimulationError re-exported)
+    _MAX_SAMPLES, SimulationError, _dense, _dopri)
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,6 @@ class Trajectory:
     m: np.ndarray
     h: np.ndarray
     u: np.ndarray
-    dt_out: float
     left_kernel: bool = False
 
     def __post_init__(self) -> None:
@@ -154,11 +148,8 @@ def simulate(
     if horizon / dt_out > _MAX_SAMPLES:
         raise ValueError(f"dt_out={dt_out!r} gives more than {_MAX_SAMPLES} samples "
                          f"over horizon={horizon!r}")
-    lo, hi = policy.u_range
-    if not (rates.u_min <= lo and hi <= rates.u_max):
-        raise ValueError(
-            f"policy emits controls in [{lo}, {hi}] outside [{rates.u_min}, {rates.u_max}]"
-        )
+    for u in policy.u_range:
+        _check_control(u, rates)
 
     grid = np.arange(0.0, horizon, dt_out)
     if horizon - grid[-1] > 1e-12 * max(1.0, horizon):
@@ -186,7 +177,7 @@ def simulate(
     t = np.round(grid, 15)
     u = np.asarray(policy.control(t, m, h), dtype=float)
     left = policy.kernel is not None and not np.all(policy.kernel.contains(m, h))
-    return Trajectory(t=t, m=m, h=h, u=u, dt_out=dt_out, left_kernel=left)
+    return Trajectory(t=t, m=m, h=h, u=u, left_kernel=left)
 
 
 def audit_viability(traj: Trajectory, H_bar: float) -> float | None:

@@ -123,8 +123,6 @@ class TestBoundary:
         rebuilt = KernelDescription(
             regime=Regime.MEDIUM,
             H_bar=0.5,
-            M_bar=float(data[0, 0]),
-            M_inf=float(data[-1, 0]),
             frontier_m=data[:, 0],
             frontier_y=data[:, 1],
         )
@@ -158,8 +156,10 @@ class TestBoundary:
         assert orbit.edge == "m=1" and m_end == 1.0
         assert abs(y_end - orbit.h) < 2e-9
 
+    # step = 1e-12 asks for some 10^11 frontier samples, beyond the cap.
     @pytest.mark.parametrize("key, value", [("H_bar", "1.5"), ("H_bar", "0"), ("step", "0"),
-                                            ("step", "-1e-3"), ("step", "nan")])
+                                            ("step", "-1e-3"), ("step", "nan"),
+                                            ("step", "1e-12")])
     def test_bad_cap_or_step_exits_2(self, tmp_path, capsys, key, value):
         code, _, err = run("boundary", tmp_path, {**MEDIUM, key: value}, capsys)
         assert code == cli.EXIT_BAD_CONFIG
@@ -306,7 +306,7 @@ class TestSimulate:
         assert code == cli.EXIT_BAD_CONFIG
 
     @pytest.mark.parametrize("key, value, named", [
-        ("u", "nan", "controls"), ("schedule", "0:nan", "controls"),
+        ("u", "nan", "outside bounds"), ("schedule", "0:nan", "outside bounds"),
         ("schedule", "0:0.02,nan:0.03", "schedule"), ("horizon", "nan", "horizon"),
         ("dt_out", "nan", "dt_out"), ("horizon", "inf", "horizon must be positive and finite"),
     ])

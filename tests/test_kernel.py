@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rossmac import kernel
 from rossmac.kernel import (
     _DISTANCE_BLOCK,
     FrontierIntegrationError,
@@ -179,8 +180,7 @@ class TestBoundaryCurve:
     def test_m_inf_one_when_control_is_strong(self):
         # Larger u_max keeps the frontier above zero all the way to m = 1.
         rates = ModelRates(A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.3733)
-        m_inf, fm, fy = boundary_curve(rates, 0.5, step=1e-3)
-        assert m_inf == 1.0
+        fm, fy = boundary_curve(rates, 0.5, step=1e-3)
         assert fm[-1] == 1.0
         assert fy[-1] > 0.0
 
@@ -208,11 +208,11 @@ class TestBoundaryCurve:
         cells = [(MEDIUM_RATES, gap) for gap in (1e-14, 1e-10, 1e-8)] + [(worst, 1e-8)]
         for rates, gap in cells:
             H_bar = regime_thresholds(rates)[0] + gap
-            m_inf, fm, fy = boundary_curve(rates, H_bar)
+            fm, fy = boundary_curve(rates, H_bar)
             assert np.all(np.diff(fy) < 0.0)
             orbit = reversed_orbit_exit(rates, fm[0], H_bar)
             assert orbit.edge == "h=0" and fy[-1] == 0.0
-            assert m_inf == pytest.approx(orbit.m, abs=1e-8)
+            assert fm[-1] == pytest.approx(orbit.m, abs=1e-8)
 
     def test_samples_match_boundary_ode(self, medium_kernel):
         # boundary_ode_values integrates the library's own formulation, so
@@ -236,6 +236,36 @@ class TestBoundaryCurve:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             boundary_curve(MEDIUM_RATES, 0.5, step=0.0)
+
+    def test_step_giving_more_samples_than_the_cap_is_refused(self, monkeypatch):
+        # M_inf - M_bar = 0.106 here: some 53 samples at step 2e-3, 106 at 1e-3.
+        monkeypatch.setattr(kernel, "_MAX_SAMPLES", 100)
+        assert build_kernel(MEDIUM_RATES, 0.5, step=2e-3).regime is Regime.MEDIUM
+        with pytest.raises(ValueError, match=r"step=0\.001 gives more than 100 frontier samples"):
+            build_kernel(MEDIUM_RATES, 0.5, step=1e-3)
+
+
+class TestKernelDescription:
+    def test_ends_are_the_samples_ends(self, medium_kernel):
+        fm, fy = medium_kernel.frontier_m, medium_kernel.frontier_y
+        with pytest.raises(TypeError):
+            KernelDescription(regime=Regime.MEDIUM, H_bar=0.5, M_inf=0.9,
+                              frontier_m=fm, frontier_y=fy)
+        rebuilt = KernelDescription(regime=Regime.MEDIUM, H_bar=0.5, frontier_m=fm, frontier_y=fy)
+        assert (rebuilt.M_bar, rebuilt.M_inf) == (fm[0], fm[-1])
+        # The samples end at m = 0.4279: (0.8, 0) lies far outside.
+        assert not rebuilt.contains(0.8, 0.0)
+
+    def test_samples_are_read_only_copies(self):
+        fm, fy = boundary_curve(MEDIUM_RATES, 0.5)
+        desc = KernelDescription(regime=Regime.MEDIUM, H_bar=0.5, frontier_m=fm, frontier_y=fy)
+        fy[60:] = 0.0  # the caller's arrays stay its own
+        with pytest.raises(ValueError):
+            desc.frontier_y[60] = 0.0
+        with pytest.raises(ValueError):
+            desc.frontier_m[60] = 0.0
+        assert desc.frontier_value(0.40) == np.interp(0.40, desc.frontier_m, desc.frontier_y) > 0.2
+        assert desc.contains(0.40, 0.2)
 
 
 class TestFrontierOrbit:

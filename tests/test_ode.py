@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from rossmac import kernel, trajectory
+from rossmac import kernel, ode, trajectory
 from rossmac.kernel import boundary_curve, build_kernel
 from rossmac.model import ModelRates, State
 from rossmac.trajectory import (ConstantControl, PiecewiseConstantControl, SaturatingFeedback,
@@ -66,10 +66,26 @@ def test_simulate_steps_match_the_loop_form(solves, kind):
                                                 (Y1_RATES, Y1_H_BAR, "m=1")],
                          ids=["baseline", "strong", "m=1"])
 def test_frontier_steps_match_the_loop_form(solves, rates, H_bar, edge):
-    m_inf = boundary_curve(rates, H_bar)[0]
+    m_inf = boundary_curve(rates, H_bar)[0][-1]
     assert_same_steps(solves, 1)
     root = solves[0][2][1]
     if edge == "h=0":  # Y reaches 0 at the event root, which is M_inf
         assert root is not None and root == m_inf < 1.0
     else:  # no root: the trace runs to the span's end, M_inf = 1
         assert root is None and m_inf == 1.0
+
+
+def test_frontier_makes_one_dense_pass(monkeypatch):
+    # The event root evaluates its step's quartic in floats, so the only
+    # dense output is the one over the samples.
+    calls = []
+    real = ode._dense
+
+    def counting(steps, t):
+        calls.append(len(t))
+        return real(steps, t)
+
+    monkeypatch.setattr(ode, "_dense", counting)
+    monkeypatch.setattr(kernel, "_dense", counting)
+    desc = build_kernel(MEDIUM_RATES, 0.5)
+    assert calls == [desc.frontier_m.size]

@@ -439,7 +439,7 @@ class TestAudit:
     def test_first_violation_time(self):
         t = np.array([0.0, 1.0, 2.0, 3.0])
         traj = Trajectory(t=t, m=np.zeros(4), h=np.array([0.0, 0.1, 0.3, 0.4]),
-                          u=np.full(4, 0.1), dt_out=1.0)
+                          u=np.full(4, 0.1))
         assert audit_viability(traj, 0.25) == 2.0
 
     def test_high_regime_any_policy_never_violates(self):
@@ -468,12 +468,12 @@ class TestTrajectoryType:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(t=np.array([0.0, 2.0, 1.0]), m=np.zeros(3), h=np.zeros(3),
-                       u=np.zeros(3), dt_out=1.0)
+                       u=np.zeros(3))
         with pytest.raises(ValueError):
             Trajectory(t=np.array([0.0, math.nan, 2.0]), m=np.zeros(3), h=np.zeros(3),
-                       u=np.zeros(3), dt_out=1.0)
+                       u=np.zeros(3))
 
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError):
             Trajectory(t=np.array([1.0, 2.0]), m=np.zeros(2), h=np.zeros(2),
-                       u=np.zeros(2), dt_out=1.0)
+                       u=np.zeros(2))
