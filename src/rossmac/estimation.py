@@ -62,7 +62,7 @@ class IncidenceSeries:
     def __post_init__(self) -> None:
         if self.population <= 0:
             raise ValueError("population must be positive")
-        if np.any(self.new_cases < 0):
+        if not np.all(self.new_cases >= 0):
             raise ValueError("case counts must be nonnegative")
         if self.days.size == 0 or np.any(np.diff(self.days) != 1) or self.days[0] != 0:
             raise ValueError("days must be contiguous integers from 0")
@@ -78,7 +78,7 @@ class PrevalenceDataset:
     def __post_init__(self) -> None:
         if self.days.size == 0 or self.days[0] != 0:
             raise ValueError("observations must start at day 0")
-        if np.any(self.h_hat < 0.0) or np.any(self.h_hat > 1.0):
+        if not np.all((self.h_hat >= 0.0) & (self.h_hat <= 1.0)):
             raise ValueError("prevalence fractions must lie in [0, 1]")
 
 
@@ -242,7 +242,7 @@ def fit(
     th0 = _theta_array(theta0)
     lb = np.array([b[0] for b in bounds], dtype=float)
     ub = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(th0 < lb) or np.any(th0 > ub):
+    if not np.all((th0 >= lb) & (th0 <= ub)):
         raise ValueError("theta0 must lie within the bounds")
     if data.days.size < 2:
         raise ValueError(f"a fit needs at least two days of data, got {data.days.size}")

@@ -199,10 +199,10 @@ class KernelDescription:
             raise ValueError("medium kernel requires M_bar < M_inf <= 1")
         if abs(fy[0] - self.H_bar) > 1e-12:
             raise ValueError("frontier must start at h = H_bar")
-        if np.any(np.diff(fm) <= 0.0) or np.any(np.diff(fy) >= 0.0):
-            raise ValueError("frontier must be strictly decreasing in Y")
-        if np.any(fm < 0.0) or np.any(fm > 1.0) or np.any(fy < 0.0) or np.any(fy > 1.0):
+        if not np.all((fm >= 0.0) & (fm <= 1.0) & (fy >= 0.0) & (fy <= 1.0)):
             raise ValueError("frontier samples must lie in the unit square")
+        if not (np.all(np.diff(fm) > 0.0) and np.all(np.diff(fy) < 0.0)):
+            raise ValueError("frontier must be strictly decreasing in Y")
         xs = np.concatenate(([0.0], fm))
         ys = np.concatenate(([self.H_bar], fy))
         dx, dy = np.diff(xs), np.diff(ys)

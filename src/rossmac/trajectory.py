@@ -4,9 +4,13 @@ and saturating-feedback fumigation policies, plus constraint auditing.
 A policy is a pure map `control(t, m, h) -> u`.  It takes scalars or
 arrays of one common shape and returns u of that shape, states the range
 `u_range` of the rates it can emit, and exposes the viability `kernel` it
-steers by (None for open-loop policies).  The feedback policy interpolates
-between minimal and maximal fumigation according to the distance d to the
-kernel frontier,
+steers by (None for open-loop policies).  Its `pieces(horizon)` are the
+spans (a, b, law) that `simulate` integrates one after another, each under
+its own `law(t, m, h) -> u` up to and including b: a schedule's law is its
+piece's rate, so a step ending on a breakpoint never reads the next rate.
+The feedback policy, one piece under `control`, interpolates between
+minimal and maximal fumigation according to the distance d to the kernel
+frontier,
 
     u = (1 - exp(-d)) * u_min + exp(-d) * u_max,
 
@@ -14,7 +18,7 @@ and is evaluated continuously inside the integrator so the closed loop is
 a smooth autonomous system.
 
 `simulate` integrates with the Dormand-Prince 5(4) loop of `rossmac.ode`,
-which takes scipy's RK45 steps and so makes the same `control` calls.
+which takes scipy's RK45 steps and so makes the same law calls.
 """
 
 from __future__ import annotations
@@ -57,8 +61,10 @@ class PiecewiseConstantControl:
     def control(self, t, m, h):
         return self._rates[self._times.searchsorted(t, side="right")]
 
-    def breakpoints_within(self, horizon: float) -> list[float]:
-        return [t for t, _ in self.schedule if 0.0 < t < horizon]
+    def pieces(self, horizon: float) -> list[tuple]:
+        times = [t for t in self._times.tolist() if t < horizon] + [horizon]
+        return [(a, b, lambda t, m, h, u=u: u)
+                for a, b, u in zip(times, times[1:], self._rates[1:].tolist())]
 
 
 class ConstantControl(PiecewiseConstantControl):
@@ -101,8 +107,8 @@ class SaturatingFeedback:
         w = np.exp(-np.where(k.contains(m, h), k.frontier_distance(m, h), 0.0))
         return np.minimum(np.maximum((1.0 - w) * lo + w * hi, lo), hi)
 
-    def breakpoints_within(self, horizon: float) -> list[float]:
-        return []
+    def pieces(self, horizon: float) -> list[tuple]:
+        return [(0.0, horizon, self.control)]
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,9 @@ def simulate(
 ) -> Trajectory:
     """Integrate the controlled system and resample on the dt_out grid.
 
+    Each of `policy.pieces(horizon)` is integrated under its own law from
+    where the last one ended; `policy.control` is called once, on the grid.
+
     `stop_event(t, m, h)` may end the run early at its root: a sign change
     between accepted steps stops the run, as scipy's terminal events do,
     and the final sample then sits at the event time instead of the horizon.
@@ -157,17 +166,11 @@ def simulate(
     else:
         grid[-1] = horizon
 
-    # Piecewise-constant controls are integrated piece by piece so that
-    # control discontinuities coincide with integrator restarts.  The piece
-    # [a, b] reads its own rate up to b: the control is right-continuous, so
-    # the stages at t = b would read the next piece's.
-    cuts = [0.0] + policy.breakpoints_within(horizon) + [horizon]
     steps: list[tuple] = []
     y = (initial.m, initial.h)
-    for a, b in zip(cuts, cuts[1:]):
-        def rhs(t, m, h, last=math.nextafter(b, a)):
-            u = float(policy.control(min(t, last), m, h))
-            return g_m(m, h, u, rates), g_h(m, h, rates)
+    for a, b, law in policy.pieces(horizon):
+        def rhs(t, m, h, law=law):
+            return g_m(m, h, float(law(t, m, h)), rates), g_h(m, h, rates)
 
         y, root = _dopri(rhs, a, y, b, rtol, atol, stop_event, steps)
         if root is not None:

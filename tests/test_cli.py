@@ -474,6 +474,13 @@ class TestFit:
         assert code == cli.EXIT_BAD_CSV
         assert ":3:" in err
 
+    def test_nan_count_exits_5_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "inc.csv"
+        bad.write_text("day,new_cases\n0,5\n1,nan\n2,4\n")
+        code, _, err = run("fit", tmp_path, {"incidence": str(bad), "population": "1000"}, capsys)
+        assert code == cli.EXIT_BAD_CSV
+        assert f"{bad}:3: case counts must be nonnegative" in err
+
     def test_undecodable_csv_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(b"day,new_cases\n0,5\xff\n1,4\n")

@@ -74,6 +74,13 @@ class TestIncidenceToPrevalence:
             IncidenceSeries(days=np.arange(3), new_cases=np.array([1.0, -2.0, 0.0]),
                             population=10)
 
+    def test_nan_values_are_refused(self):
+        with pytest.raises(ValueError, match="case counts must be nonnegative"):
+            IncidenceSeries(days=np.arange(3), new_cases=np.array([5.0, np.nan, 2.0]),
+                            population=1000)
+        with pytest.raises(ValueError, match=r"prevalence fractions must lie in \[0, 1\]"):
+            PrevalenceDataset(days=np.arange(3), h_hat=np.array([0.1, np.nan, 0.2]))
+
 
 class TestSimulate:
     @pytest.mark.parametrize("theta", [THETA_TRUE, np.array(DEFAULT_THETA0)])
@@ -307,6 +314,11 @@ class TestFit:
         data = make_dataset(days=10)
         with pytest.raises(ValueError):
             fit(data, theta0=(6.0, 0.5, 0.5, 1.0, 0.035))
+
+    def test_rejects_nan_start(self):
+        data = make_dataset(days=10)
+        with pytest.raises(ValueError, match="theta0 must lie within the bounds"):
+            fit(data, theta0=(np.nan, 0.5, 0.5, 1.0, 0.035))
 
     def test_final_objective_not_worse_than_start(self):
         data = make_dataset()

@@ -267,6 +267,13 @@ class TestKernelDescription:
         assert desc.frontier_value(0.40) == np.interp(0.40, desc.frontier_m, desc.frontier_y) > 0.2
         assert desc.contains(0.40, 0.2)
 
+    @pytest.mark.parametrize("column, i", [("y", 0), ("m", 50), ("y", 50), ("y", -1)])
+    def test_nan_sample_is_refused(self, column, i):
+        fm, fy = boundary_curve(MEDIUM_RATES, 0.5)
+        (fm if column == "m" else fy)[i] = math.nan
+        with pytest.raises(ValueError, match="unit square"):
+            KernelDescription(regime=Regime.MEDIUM, H_bar=0.5, frontier_m=fm, frontier_y=fy)
+
 
 class TestFrontierOrbit:
     def test_frontier_is_an_orbit_under_max_control(self, medium_kernel):

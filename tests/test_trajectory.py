@@ -135,33 +135,34 @@ class TestSimulate:
 
 
 class CountingPolicy:
-    """A policy that counts its scalar control calls, the integrator's."""
+    """A policy that counts the calls of its pieces' laws, the integrator's."""
 
     def __init__(self, policy):
         self.policy, self.calls = policy, 0
-        self.kernel, self.u_range = policy.kernel, policy.u_range
+        self.kernel, self.u_range, self.control = policy.kernel, policy.u_range, policy.control
 
-    def control(self, t, m, h):
-        self.calls += np.ndim(t) == 0
-        return self.policy.control(t, m, h)
+    def pieces(self, horizon):
+        def counted(law):
+            def call(t, m, h):
+                self.calls += 1
+                return law(t, m, h)
+            return call
 
-    def breakpoints_within(self, horizon):
-        return self.policy.breakpoints_within(horizon)
+        return [(a, b, counted(law)) for a, b, law in self.policy.pieces(horizon)]
 
 
 def scipy_rk45(initial, policy, rates, grid, rtol, atol, stop_event=None):
-    """Samples of solve_ivp(method="RK45") on the grid, restarted at the
-    policy's breakpoints, with its nfev and the terminal event time.  Each
-    piece [a, b] reads its own rate up to b, as in `simulate`."""
+    """Samples of solve_ivp(method="RK45") on the grid, restarted at each of
+    the policy's pieces and integrated under its law, with its nfev and the
+    terminal event time."""
     events = None
     if stop_event is not None:
         events = lambda t, z: stop_event(t, z[0], z[1])  # noqa: E731
         events.terminal = True
-    cuts = [0.0] + policy.breakpoints_within(grid[-1]) + [grid[-1]]
     z, nfev, samples = [initial.m, initial.h], 0, []
-    for a, b in zip(cuts, cuts[1:]):
-        def rhs(t, z, last=math.nextafter(b, a)):
-            u = policy.control(min(t, last), z[0], z[1])
+    for a, b, law in policy.pieces(grid[-1]):
+        def rhs(t, z, law=law):
+            u = law(t, z[0], z[1])
             return [g_m(z[0], z[1], u, rates), g_h(z[0], z[1], rates)]
 
         sol = solve_ivp(rhs, (a, b), z, method="RK45", rtol=rtol, atol=atol,
@@ -225,8 +226,8 @@ class TestScipyParity:
             def control(self, t, m, h):
                 return math.nan if np.ndim(t) == 0 and t > 5.0 else 0.1 + 0.0 * np.asarray(t)
 
-            def breakpoints_within(self, horizon):
-                return []
+            def pieces(self, horizon):
+                return [(0.0, horizon, self.control)]
 
         with pytest.raises(SimulationError) as exc:
             simulate(State(0.3, 0.2), NanAfterFive(), RATES, 20.0)
@@ -240,8 +241,8 @@ class TestScipyParity:
             def control(self, t, m, h):
                 return math.nan + 0.0 * np.asarray(t)
 
-            def breakpoints_within(self, horizon):
-                return []
+            def pieces(self, horizon):
+                return [(0.0, horizon, self.control)]
 
         with pytest.raises(SimulationError) as exc:
             simulate(State(0.3, 0.2), AlwaysNan(), RATES, 20.0)
@@ -356,12 +357,31 @@ class TestPolicies:
         const = ConstantControl(0.1)
         assert isinstance(const, PiecewiseConstantControl) and "control" not in vars(ConstantControl)
         assert const.schedule == ((0.0, 0.1),) and const == ConstantControl(u=0.1)
-        assert const.u_range == (0.1, 0.1) and const.breakpoints_within(50.0) == []
+        assert const.u_range == (0.1, 0.1) and [p[:2] for p in const.pieces(50.0)] == [(0.0, 50.0)]
         t = np.array([[0.0, 2.5], [7.0, 1e9]])
         assert const.control(t, 0.0, 0.0).shape == t.shape and np.all(const.control(t, 0, 0) == 0.1)
         a = simulate(State(0.2, 0.2), const, RATES, 10.0, dt_out=0.3)
         b = simulate(State(0.2, 0.2), PiecewiseConstantControl(((0.0, 0.1),)), RATES, 10.0, dt_out=0.3)
         assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in "tmhu")
+
+    def test_schedule_pieces_end_at_the_horizon(self):
+        schedule = ((0, 0.01), (50, 0.03), (100, 0.02))
+        pieces = PiecewiseConstantControl(schedule).pieces(80.0)
+        assert [p[:2] for p in pieces] == [(0, 50), (50, 80)]
+        for (a, b, law), (_, u) in zip(pieces, schedule):
+            for t in (a, 0.5 * (a + b), b):
+                assert type(law(t, 0.1, 0.1)) is float and law(t, 0.1, 0.1) == u
+
+    def test_simulate_reads_a_schedule_only_through_its_pieces(self):
+        class ArrayOnly(PiecewiseConstantControl):
+            def control(self, t, m, h):
+                assert np.ndim(t) == 1, "control called with a scalar t"
+                return super().control(t, m, h)
+
+        schedule = ((0.0, 0.05), (4.0, 0.2), (7.0, 0.1))
+        plain = simulate(State(0.2, 0.2), PiecewiseConstantControl(schedule), RATES, 10.0)
+        traj = simulate(State(0.2, 0.2), ArrayOnly(schedule), RATES, 10.0)
+        assert all(np.array_equal(getattr(traj, k), getattr(plain, k)) for k in "tmhu")
 
     def test_feedback_clamps_outside_kernel(self, medium_kernel):
         fb = SaturatingFeedback(medium_kernel, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max)
