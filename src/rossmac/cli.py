@@ -6,12 +6,13 @@ individual keys can be overridden on the command line with repeated
 `key=value` lines, diagnostics to stderr, and CSV/SVG artifacts to the
 output directory.
 
-Exit codes: 0 success, 2 invalid configuration (a key that `COMMANDS` does
-not list for the command, named with its `file:line` or `--set`, and every
-ValueError that reaches `main`, raised here or by the library on a bad
-input), 3 boundary requested outside the medium regime, 4 feedback policy
-outside the medium regime, 5 malformed incidence CSV, one of fewer than two
-days or one whose prevalence exceeds population, 1 any other runtime failure.
+Exit codes: 0 success, 2 invalid configuration (a config file that cannot
+be read, named with its path, a key that `COMMANDS` does not list for the
+command, named with its `file:line` or `--set`, and every ValueError that
+reaches `main`, raised here or by the library on a bad input), 3 boundary
+requested outside the medium regime, 4 feedback policy outside the medium
+regime, 5 malformed incidence CSV, one of fewer than two days or one whose
+prevalence exceeds population, 1 any other runtime failure.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def _fmt(x: float) -> str:
 def load_config(path: str | None, overrides: list[str], command: str) -> dict[str, str]:
     """The file's `key = value` lines, then the `--set` items, which win.
     A key that `command` does not read is refused, naming where it came from."""
-    if path is not None and not Path(path).exists():
-        raise ValueError(f"config file not found: {path}")
-    lines = Path(path).read_text().splitlines() if path is not None else []
+    try:
+        lines = Path(path).read_text().splitlines() if path is not None else []
+    except OSError as exc:  # missing, a directory or unreadable
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
     items = [(f"{path}:{n}", line.split("#", 1)[0]) for n, line in enumerate(lines, start=1)]
     cfg: dict[str, str] = {}
     for where, item in items + [("--set", item) for item in overrides]:

@@ -62,6 +62,8 @@ class IncidenceSeries:
     def __post_init__(self) -> None:
         if self.population <= 0:
             raise ValueError("population must be positive")
+        if self.days.ndim != 1 or self.new_cases.shape != self.days.shape:
+            raise ValueError("days and new_cases must be 1-D arrays of one length")
         if not np.all(self.new_cases >= 0):
             raise ValueError("case counts must be nonnegative")
         if self.days.size == 0 or np.any(np.diff(self.days) != 1) or self.days[0] != 0:
@@ -76,8 +78,10 @@ class PrevalenceDataset:
     h_hat: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.days.size == 0 or self.days[0] != 0:
-            raise ValueError("observations must start at day 0")
+        if self.days.ndim != 1 or self.h_hat.shape != self.days.shape:
+            raise ValueError("days and h_hat must be 1-D arrays of one length")
+        if self.days.size == 0 or self.days[0] != 0 or not np.all(np.diff(self.days) > 0):
+            raise ValueError("observation days must start at 0 and increase strictly")
         if not np.all((self.h_hat >= 0.0) & (self.h_hat <= 1.0)):
             raise ValueError("prevalence fractions must lie in [0, 1]")
 

@@ -25,8 +25,8 @@ and its distance from (m, h) is at least the box's gap in the max norm,
 max(x_i - m, m - x_(i+1), y_(i+1) - h, h - y_i).  The segments under m and
 at height h give an upper bound b on the distance; the segments whose gap
 is at most b form one run of indices, found by bisection, as both x and y
-are monotone.  A short run is scanned in Python.  A long one, where a deep
-point sees much of the curve about equally far, goes through numpy.
+are monotone.  That run is scanned in Python whatever its length: a deep
+point, which sees much of the curve about equally far, scans a long one.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ from rossmac.ode import _MAX_SAMPLES, SimulationError, _dense, _dopri
 # measured slower than 64 on a 2001-point grid, each temporary then
 # being some 200 KiB.
 _DISTANCE_BLOCK = 64
-
-# Longest run of segments that the one-point distance scans in Python; a
-# longer one goes through numpy, which is then the faster of the two.
-_SCAN_MAX = 24
 
 # Integrator tolerances of the frontier trace in m.  Against the
 # time-reversed orbit's exit they end it 4.0e-12 off on the Cali baseline,
@@ -185,11 +181,12 @@ class KernelDescription:
         _check_cap(self.H_bar)
         if self.regime is not Regime.MEDIUM:
             return
-        if self.frontier_m is None or self.frontier_y is None:
-            raise ValueError("medium kernel requires frontier samples")
         # Copies that no caller can write keep the samples and the record
-        # built from them in step.
+        # built from them in step.  A missing column becomes a 0-d NaN array,
+        # which the shape check refuses.
         fm, fy = np.array(self.frontier_m, dtype=float), np.array(self.frontier_y, dtype=float)
+        if fm.ndim != 1 or fm.shape != fy.shape or fm.size < 2:
+            raise ValueError("frontier samples must be two 1-D arrays of one length >= 2")
         fm.flags.writeable = fy.flags.writeable = False
         object.__setattr__(self, "frontier_m", fm)
         object.__setattr__(self, "frontier_y", fy)
@@ -203,8 +200,7 @@ class KernelDescription:
             raise ValueError("frontier samples must lie in the unit square")
         if not (np.all(np.diff(fm) > 0.0) and np.all(np.diff(fy) < 0.0)):
             raise ValueError("frontier must be strictly decreasing in Y")
-        xs = np.concatenate(([0.0], fm))
-        ys = np.concatenate(([self.H_bar], fy))
+        xs, ys = np.concatenate(([0.0], fm)), np.concatenate(([self.H_bar], fy))
         dx, dy = np.diff(xs), np.diff(ys)
         seg2 = dx * dx + dy * dy
         seg2 = np.where(seg2 > 0.0, seg2, 1.0)
@@ -226,7 +222,7 @@ class KernelDescription:
         point with an infinite or NaN coordinate.
         """
         if self._frontier is not None and _is_point(m, h):
-            return m <= self.M_inf and h <= self._height(m)
+            return self._point_contains(m, h)
         m, h = np.asarray(m, dtype=float), np.asarray(h, dtype=float)
         if self.regime is Regime.LOW:
             return (m == 0.0) & (h == 0.0)
@@ -242,7 +238,7 @@ class KernelDescription:
         if self._frontier is None:
             raise ValueError("distance to frontier is only defined for medium kernels")
         if _is_point(m, h):
-            return self._point_distance(float(m), float(h))
+            return self._point_distance(m, h)
         m, h = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(h, dtype=float))
         bad = ~(np.isfinite(m) & np.isfinite(h))
         pm, ph = np.where(bad, 0.0, m).reshape(-1, 1), np.where(bad, 0.0, h).reshape(-1, 1)
@@ -256,10 +252,10 @@ class KernelDescription:
         return np.where(bad, np.abs(m) + np.abs(h), out.reshape(m.shape))[()]
 
     def _nearest(self, m, h) -> np.ndarray:
-        """Point-to-segment distance minimised over the segments, for points
-        (m, h) given as one scalar or as columns, the segments running along
-        the last axis.  Works in place on the offsets from the segment
-        starts, in squares up to one square root after the minimum."""
+        """Point-to-segment distance minimised over the segments, for arrays
+        of points (m, h) given as columns, the segments running along the
+        last axis.  Works in place on the offsets from the segment starts,
+        in squares up to one square root after the minimum."""
         xs, ys, _, dx, dy, ux, uy = self._frontier[0]
         px, py = m - xs[:-1], h - ys[:-1]
         t = px * ux
@@ -273,46 +269,44 @@ class KernelDescription:
         px += py
         return np.sqrt(px.min(-1))
 
-    def _height(self, m: float) -> float:
-        """frontier_value(m) for one float m, to the bit: np.interp's
-        slope is the same quotient dy / dx."""
+    def _point_contains(self, m: float, h: float) -> bool:
+        """contains(m, h) for one point of two finite floats, to the bit: as
+        np.interp does, the height is a vertex's at a vertex and beyond the
+        ends, and between vertices uses the same slope, the quotient dy / dx."""
         xs, ys, _, dx, dy = self._frontier[1][:5]
         j = bisect_right(xs, m) - 1
-        if j < 0:
-            return ys[0]
-        if j == len(dx) or xs[j] == m:
-            return ys[j]
-        return dy[j] / dx[j] * (m - xs[j]) + ys[j]
+        if j < 0 or j == len(dx) or xs[j] == m:
+            return m <= self.M_inf and h <= ys[max(j, 0)]
+        return h <= dy[j] / dx[j] * (m - xs[j]) + ys[j]
 
     def _point_distance(self, m: float, h: float) -> float:
-        """_nearest for one point, over the run of segments whose boxes lie
-        within an upper bound of its distance (see the module docstring)."""
+        """_nearest for one point of two finite floats, over the run of
+        segments whose boxes lie within an upper bound of its distance (see
+        the module docstring)."""
         xs, ys, nys, dx, dy, ux, uy = self._frontier[1]
         n = len(dx)
-
-        def seg2(i: int) -> float:
-            px, py = m - xs[i], h - ys[i]
-            t = px * ux[i] + py * uy[i]
-            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-            px -= t * dx[i]
-            py -= t * dy[i]
-            return px * px + py * py
-
-        # The segments under m and at height h bound the distance from above.
-        under = min(max(bisect_right(xs, m) - 1, 0), n - 1)
-        level = min(max(bisect_left(nys, -h) - 1, 0), n - 1)
-        best = min(seg2(under), seg2(level))
-        # The slack exceeds any rounding in the gaps and the distances, so
-        # that no segment the array path could pick falls outside the run.
-        b = math.sqrt(best) * (1.0 + 1e-9) + 1e-12
-        lo = max(bisect_left(xs, m - b), bisect_left(nys, -h - b), 1) - 1
-        hi = min(bisect_right(xs, m + b), bisect_right(nys, b - h), n)
-        if hi - lo > _SCAN_MAX:
-            return float(self._nearest(m, h))
-        for i in range(lo, hi):
-            d2 = seg2(i)
-            if d2 < best:
-                best = d2
+        m, h = float(m), float(h)  # np.float64 arithmetic would be slower
+        # Two passes share one loop, so that no segment costs a call: the
+        # first reads the segments under m and at height h, which bound the
+        # distance from above, and the second scans the run that bound leaves.
+        best, run = math.inf, (min(max(bisect_right(xs, m) - 1, 0), n - 1),
+                               min(max(bisect_left(nys, -h) - 1, 0), n - 1))
+        for first in (True, False):
+            for i in run:
+                px, py = m - xs[i], h - ys[i]
+                t = px * ux[i] + py * uy[i]
+                t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+                px -= t * dx[i]
+                py -= t * dy[i]
+                d2 = px * px + py * py
+                if d2 < best:
+                    best = d2
+            if first:
+                # The slack exceeds any rounding in the gaps and the distances,
+                # so that no segment the array path could pick leaves the run.
+                b = math.sqrt(best) * (1.0 + 1e-9) + 1e-12
+                run = range(max(bisect_left(xs, m - b), bisect_left(nys, -h - b), 1) - 1,
+                            min(bisect_right(xs, m + b), bisect_right(nys, b - h), n))
         return math.sqrt(best)
 
 

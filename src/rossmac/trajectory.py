@@ -97,12 +97,12 @@ class SaturatingFeedback:
 
     def control(self, t, m, h):
         # Outside the kernel d counts as 0, which gives u = u_max exactly.
-        # One point of floats takes the kernel's pure-Python queries; np.exp
-        # (not math.exp, which can differ in the last bit) keeps its u equal
-        # to the array call's.
+        # One point of floats, checked once here, takes the kernel's
+        # pure-Python point queries; np.exp (not math.exp, which can differ in
+        # the last bit) keeps its u equal to the array call's.
         k, lo, hi = self.kernel, self.u_min, self.u_max
         if _is_point(m, h):
-            w = float(np.exp(-(k.frontier_distance(m, h) if k.contains(m, h) else 0.0)))
+            w = float(np.exp(-(k._point_distance(m, h) if k._point_contains(m, h) else 0.0)))
             return min(max((1.0 - w) * lo + w * hi, lo), hi)
         w = np.exp(-np.where(k.contains(m, h), k.frontier_distance(m, h), 0.0))
         return np.minimum(np.maximum((1.0 - w) * lo + w * hi, lo), hi)

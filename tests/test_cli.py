@@ -548,6 +548,12 @@ class TestConfigHandling:
         code = cli.main(["classify", "--config", str(tmp_path / "none.ini")])
         assert code == cli.EXIT_BAD_CONFIG
 
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys):
+        code = cli.main(["classify", "--config", str(tmp_path)])  # a directory
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_BAD_CONFIG
+        assert f"cannot read config file {tmp_path}" in err
+
     def test_bad_set_syntax(self, capsys):
         code = cli.main(["classify", "--set", "H_bar"])
         assert code == cli.EXIT_BAD_CONFIG

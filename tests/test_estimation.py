@@ -81,6 +81,25 @@ class TestIncidenceToPrevalence:
         with pytest.raises(ValueError, match=r"prevalence fractions must lie in \[0, 1\]"):
             PrevalenceDataset(days=np.arange(3), h_hat=np.array([0.1, np.nan, 0.2]))
 
+    @pytest.mark.parametrize("days", [[0, 30, 5], [0, 1, 1], [0, 1, np.nan]])
+    def test_observation_days_must_increase(self, days):
+        # Unordered days once solved only up to the last one and read the
+        # rest off the dense output beyond it.
+        with pytest.raises(ValueError, match="increase strictly"):
+            PrevalenceDataset(days=np.array(days), h_hat=np.full(3, 1e-3))
+
+    @pytest.mark.parametrize("days, h_hat", [(np.arange(3), np.full(2, 1e-3)),
+                                             (np.arange(3), np.full(5, 1e-3)),
+                                             (np.arange(3)[None], np.full((1, 3), 1e-3))])
+    def test_prevalence_columns_must_match(self, days, h_hat):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            PrevalenceDataset(days=days, h_hat=h_hat)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_incidence_columns_must_match(self, n):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            IncidenceSeries(days=np.arange(3), new_cases=np.ones(n), population=1000)
+
 
 class TestSimulate:
     @pytest.mark.parametrize("theta", [THETA_TRUE, np.array(DEFAULT_THETA0)])

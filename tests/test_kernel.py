@@ -274,6 +274,19 @@ class TestKernelDescription:
         with pytest.raises(ValueError, match="unit square"):
             KernelDescription(regime=Regime.MEDIUM, H_bar=0.5, frontier_m=fm, frontier_y=fy)
 
+    @pytest.mark.parametrize(
+        "fm, fy",
+        [([0.3, 0.35, 0.4], [0.5]),  # lengths differ
+         ([[0.3, 0.35, 0.4]], [[0.5, 0.3, 0.0]]),  # 2-D
+         ([0.3], [0.5]),  # one sample
+         ([], []),
+         (None, None),  # a medium kernel needs samples
+         ([0.3, 0.35, 0.4], None)],
+    )
+    def test_samples_of_the_wrong_shape_are_refused(self, fm, fy):
+        with pytest.raises(ValueError, match="two 1-D arrays of one length >= 2"):
+            KernelDescription(regime=Regime.MEDIUM, H_bar=0.5, frontier_m=fm, frontier_y=fy)
+
 
 class TestFrontierOrbit:
     def test_frontier_is_an_orbit_under_max_control(self, medium_kernel):
@@ -472,6 +485,39 @@ class TestDistance:
             floats = k.frontier_distance(*p), k.contains(*p), fb.control(0.0, *p)
             for a, f in zip(arrays, floats):
                 assert same_bits(a[i], f), p
+            # np.float64 points, which are floats too, take the same path.
+            q = np.float64(bm[i]), np.float64(bh[i])
+            floats = k.frontier_distance(*q), k.contains(*q), fb.control(0.0, *q)
+            for a, f in zip(arrays, floats):
+                assert same_bits(a[i], f), p
+
+    def test_float_queries_never_call_nearest(self, medium_kernel, monkeypatch):
+        # _nearest is the array path.  A deep point sees much of the curve
+        # about equally far, so its run of candidate segments is long; it is
+        # still scanned in plain Python, and so is every law call that the
+        # integrator makes.
+        k = medium_kernel
+        calls = []
+        nearest = KernelDescription._nearest
+        monkeypatch.setattr(KernelDescription, "_nearest",
+                            lambda self, m, h: calls.append(m) or nearest(self, m, h))
+        for p in [(0.1, 0.1), (0.01, 0.01), (0.3, 0.45), (0.0, 0.0)]:
+            assert k.frontier_distance(*p) == k.frontier_distance(*np.array([p]).T)[0]
+        assert len(calls) == 4  # the array calls alone
+        during = []
+
+        class Watched(SaturatingFeedback):
+            def pieces(self, horizon):
+                def law(t, m, h):
+                    before = len(calls)
+                    u = self.control(t, m, h)
+                    during.append(len(calls) - before)
+                    return u
+                return [(0.0, horizon, law)]
+
+        simulate(State(0.1, 0.1), Watched(k, MEDIUM_RATES.u_min, MEDIUM_RATES.u_max),
+                 MEDIUM_RATES, 200.0)
+        assert len(during) > 100 and sum(during) == 0
 
     def test_non_finite_points_lie_outside(self, medium_kernel):
         k = medium_kernel

@@ -444,6 +444,11 @@ class TestFeedbackControl:
             assert same_bits(inside[i], k.contains(mi, hi))
             assert same_bits(dist[i], k.frontier_distance(mi, hi))
             assert same_bits(u[i], fb.control(0.0, mi, hi))
+            # np.float64 points, which are floats too, take the same path.
+            m64, h64 = np.float64(mi), np.float64(hi)
+            assert same_bits(inside[i], k.contains(m64, h64))
+            assert same_bits(dist[i], k.frontier_distance(m64, h64))
+            assert same_bits(u[i], fb.control(0.0, m64, h64))
             if inside[i] and i > len(hard):  # states, which lie in the unit square
                 assert dist[i] == distance_to_frontier(k, State(mi, hi))
         assert not inside[0] and u[0] == MEDIUM_RATES.u_max
