@@ -61,8 +61,9 @@ def load_config(path: str | None, overrides: list[str], command: str) -> dict[st
     A key that `command` does not read is refused, naming where it came from."""
     try:
         lines = Path(path).read_text().splitlines() if path is not None else []
-    except OSError as exc:  # missing, a directory or unreadable
-        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable or not text
+        reason = getattr(exc, "strerror", exc)
+        raise ValueError(f"cannot read config file {path}: {reason}") from None
     items = [(f"{path}:{n}", line.split("#", 1)[0]) for n, line in enumerate(lines, start=1)]
     cfg: dict[str, str] = {}
     for where, item in items + [("--set", item) for item in overrides]:

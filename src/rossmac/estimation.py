@@ -1,22 +1,23 @@
 """Incidence-to-prevalence conversion and constrained least-squares fitting
-of the raw transmission parameters to daily prevalence data.
+of the identifiable transmission rates to daily prevalence data.
 
 Daily new-case counts are turned into prevalence with the geometric-decay
 recursion P_{j+1} = P_j*(1-gamma) + c_{j+1}, the discrete analogue of
-exponential recovery at rate gamma.  The fit minimizes
+exponential recovery at rate gamma.  Only the reduced rates
+r = (A_m, A_h, delta), with A_m = alpha*p_m and A_h = alpha*p_h*xi, enter
+the dynamics, so only they are identifiable, and the fit minimizes
 
-    1/2 * sum_{j=1..D} (h(t_j; theta) - h_hat_j)^2
+    1/2 * sum_{j=1..D} (h(t_j; r) - h_hat_j)^2
 
-over theta = (alpha, p_h, p_m, xi, delta) inside box bounds, with the
-mosquito state initialized as m(0) = 3*h_hat_0.  Only the reduced rates
-A_m = alpha*p_m, A_h = alpha*p_h*xi and delta enter the dynamics, so only
-those are identifiable and they are the primary deliverable of a fit.  The
-sensitivities are taken in those rates; theta follows by the chain rule.
-Every trajectory is integrated by the Dormand-Prince loop of `rossmac.ode` at
-rtol=1e-10, atol=1e-12, and the sensitivities are carried through that
-solve's own steps.  The fit makes one solve per trust-region point: its
-residuals and Jacobian both read it.  Only `fit` imports scipy, for its
-trust-region reflective solver.
+over r inside RATE_BOUNDS, the image of the raw box DEFAULT_BOUNDS, with
+the mosquito state initialized as m(0) = 3*h_hat_0.  The raw parameters
+theta = (alpha, p_h, p_m, xi, delta) remain only in `objective`,
+`objective_gradient` (which applies the chain rule through r) and
+`simulate_h`.  Every trajectory is integrated by the Dormand-Prince loop of
+`rossmac.ode` at rtol=1e-10, atol=1e-12, and the sensitivities dh/dr are
+carried through that solve's own steps.  The fit makes one solve per
+trust-region point: its residuals and Jacobian both read it.  Only `fit`
+imports scipy, for its trust-region reflective solver.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rossmac.model import EpiParams, ModelRates, _reduce, derive_rates, g_h, g_m
+from rossmac.model import EpiParams, ModelRates, _reduce, g_h, g_m
 from rossmac.ode import _A, _dense, _dopri
 
-# Admissible box for theta = (alpha, p_h, p_m, xi, delta) and the default
-# starting point of the optimizer.
+# Admissible box for theta = (alpha, p_h, p_m, xi, delta), its image in
+# r = (A_m, A_h, delta), the box of the fit, and the raw point whose rates
+# start the optimizer.
 DEFAULT_BOUNDS = (
     (0.0, 5.0),     # alpha
     (0.0, 1.0),     # p_h
@@ -39,6 +41,7 @@ DEFAULT_BOUNDS = (
     (1.0, 5.0),     # xi
     (1.0 / 30.0, 1.0 / 15.0),  # delta
 )
+RATE_BOUNDS = ((0.0, 5.0), (0.0, 25.0), (1.0 / 30.0, 1.0 / 15.0))
 DEFAULT_THETA0 = (1.0, 0.5, 0.5, 1.0, 0.035)
 DEFAULT_GAMMA = 0.1
 MOSQUITO_INIT_FACTOR = 3.0
@@ -129,20 +132,12 @@ def _theta_array(theta) -> np.ndarray:
 
 
 def _reduced_rates(theta: np.ndarray, gamma: float) -> ModelRates:
-    """The reduced rates of theta (`model._reduce`, which also takes the
-    optimizer's trial points with p_h or p_m above 1), with the mosquito
-    death rate fixed at delta.  The rates are Python floats, on which the
-    integrator's scalar steps run fastest."""
+    """The reduced rates of theta (`model._reduce`, which also takes raw
+    values outside EpiParams' ranges), with the mosquito death rate fixed at
+    delta.  The rates are Python floats, on which the integrator's scalar
+    steps run fastest."""
     th = theta.tolist()
     return _reduce(*th, gamma, th[-1])  # u_max = u_min = delta
-
-
-def _reduced_rates_jacobian(theta: np.ndarray) -> np.ndarray:
-    """The 3x5 derivative of (A_m, A_h, delta) in theta."""
-    alpha, p_h, p_m, xi, _ = theta
-    return np.array([[p_m, 0.0, alpha, 0.0, 0.0],
-                     [p_h * xi, alpha * xi, 0.0, alpha * p_h, 0.0],
-                     [0.0, 0.0, 0.0, 0.0, 1.0]])
 
 
 def _steps(rates: ModelRates, h0: float, t_end: float) -> np.ndarray:
@@ -180,13 +175,13 @@ def objective(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> f
     return 0.5 * float(r @ r)
 
 
-def _sensitivity_system(theta: np.ndarray, h0: float, t_eval: np.ndarray, gamma: float):
-    """h and dh/dtheta, shape (n_times, 5), at t_eval.  dh/dtheta is the exact
-    derivative of the computed h: with its accepted steps held fixed, each
-    step maps S = d(m, h)/dr, r = (A_m, A_h, delta), through its stages to
-    Phi S + Psi (internal numerical differentiation, Bock 1981)."""
-    rates = _reduced_rates(theta, gamma)
-    A_m, A_h, delta = rates.A_m, rates.A_h, rates.u_max
+def _sensitivity_system(rates: ModelRates, h0: float, t_eval: np.ndarray):
+    """h and dh/dr, shape (n_times, 3), at t_eval, for r = (A_m, A_h, delta)
+    with u_max = delta.  dh/dr is the exact derivative of the computed h:
+    with its accepted steps held fixed, each step maps S = d(m, h)/dr
+    through its stages to Phi S + Psi (internal numerical differentiation,
+    Bock 1981)."""
+    A_m, A_h, delta, gamma = rates.A_m, rates.A_h, rates.u_max, rates.gamma
     steps = _steps(rates, h0, float(t_eval[-1]))
     n = len(steps)
     dt = steps[:, 1, None, None]
@@ -213,56 +208,52 @@ def _sensitivity_system(theta: np.ndarray, h0: float, t_eval: np.ndarray, gamma:
     S = np.array(rows).reshape(n, 2, 3)
     K = M[..., :2] @ S[:, None] + M[..., 2:]
     S_rows = np.hstack([steps[:, :2], S.reshape(n, 6), K.reshape(n, 42)])
-    dh = _dense(S_rows, t_eval)[3:]
-    return _dense(steps, t_eval)[1], dh.T @ _reduced_rates_jacobian(theta)
+    return _dense(steps, t_eval)[1], _dense(S_rows, t_eval)[3:].T
 
 
 def objective_gradient(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Exact gradient of `objective` via forward sensitivity equations."""
+    """Exact gradient of `objective` in theta: the gradient in r, from the
+    forward sensitivities, by the chain rule through A_m = alpha*p_m and
+    A_h = alpha*p_h*xi."""
     th = _theta_array(theta)
     if data.days.size < 2:
         return np.zeros(5)
-    t = data.days.astype(float)
-    h, J = _sensitivity_system(th, float(data.h_hat[0]), t, gamma)
-    r = h[1:] - data.h_hat[1:]
-    return J[1:].T @ r
+    h, J = _sensitivity_system(_reduced_rates(th, gamma), float(data.h_hat[0]),
+                               data.days.astype(float))
+    gA_m, gA_h, g_delta = J[1:].T @ (h[1:] - data.h_hat[1:])
+    alpha, p_h, p_m, xi, _ = th
+    return np.array([gA_m * p_m + gA_h * p_h * xi, gA_h * alpha * xi, gA_m * alpha,
+                     gA_h * alpha * p_h, g_delta])
 
 
 def fit(
     data: PrevalenceDataset,
-    bounds=DEFAULT_BOUNDS,
     theta0=DEFAULT_THETA0,
     gamma: float = DEFAULT_GAMMA,
     max_nfev: int = 400,
 ) -> FitResult:
-    """Box-constrained least-squares fit of theta to prevalence data.
+    """Box-constrained least-squares fit of r = (A_m, A_h, delta) to
+    prevalence data, on RATE_BOUNDS, from the rates of theta0, which must
+    lie in DEFAULT_BOUNDS.
 
     Uses a trust-region reflective solver with the sensitivity-based
-    residual Jacobian; non-convergence is reported on the `converged`
+    residual Jacobian dh/dr; non-convergence is reported on the `converged`
     flag, never raised.  Data of fewer than two days raise ValueError.
     """
     from scipy.optimize import least_squares
 
     th0 = _theta_array(theta0)
-    lb = np.array([b[0] for b in bounds], dtype=float)
-    ub = np.array([b[1] for b in bounds], dtype=float)
+    lb, ub = np.array(DEFAULT_BOUNDS).T
     if not np.all((th0 >= lb) & (th0 <= ub)):
         raise ValueError("theta0 must lie within the bounds")
     if data.days.size < 2:
         raise ValueError(f"a fit needs at least two days of data, got {data.days.size}")
-
-    free = lb < ub
-
-    def pack(x):
-        th = th0.copy()
-        th[free] = x
-        return th
-
-    if not np.any(free) or not np.any(data.h_hat):
-        # Nothing to optimize: point bounds, or an all-zero series whose
-        # initial state is the disease-free equilibrium.
-        theta = pack(th0[free])
-        return _make_result(theta, objective(theta, data, gamma), 0, True, gamma)
+    start = _reduced_rates(th0, gamma)
+    r0 = np.array([start.A_m, start.A_h, start.u_max])
+    if not np.any(data.h_hat):
+        # An all-zero series starts at the disease-free equilibrium, where
+        # h stays 0 under any rates: nothing to optimize.
+        return _make_result(r0, 0.0, 0, True, gamma)
 
     t = data.days.astype(float)
     h0 = float(data.h_hat[0])
@@ -274,43 +265,37 @@ def fit(
         key = x.tobytes()
         if key not in last:
             last.clear()
-            last[key] = _sensitivity_system(pack(x), h0, t, gamma)
+            A_m, A_h, delta = x.tolist()
+            rates = ModelRates(A_m, A_h, gamma, u_min=delta, u_max=delta)
+            last[key] = _sensitivity_system(rates, h0, t)
         return last[key]
 
-    def res(x):
-        return solve(x)[0][1:] - data.h_hat[1:]
-
-    def jac(x):
-        return solve(x)[1][1:, free]
-
     sol = least_squares(
-        res,
-        th0[free],
-        jac=jac,
-        bounds=(lb[free], ub[free]),
+        lambda x: solve(x)[0][1:] - data.h_hat[1:],
+        r0,
+        jac=lambda x: solve(x)[1][1:],
+        bounds=np.array(RATE_BOUNDS).T,
         method="trf",
         ftol=1e-10,
         xtol=1e-10,
         gtol=1e-12,
         max_nfev=max_nfev,
     )
-    theta = pack(sol.x)
-    converged = bool(sol.status > 0)
-    return _make_result(theta, 0.5 * float(sol.fun @ sol.fun), int(sol.nfev), converged, gamma)
+    return _make_result(sol.x, 0.5 * float(sol.fun @ sol.fun), int(sol.nfev),
+                        bool(sol.status > 0), gamma)
 
 
-def _make_result(theta: np.ndarray, obj: float, nfev: int, converged: bool, gamma: float) -> FitResult:
-    params = EpiParams(*theta.tolist(), gamma)
-    rates = derive_rates(params, params.delta)
-    return FitResult(
-        theta_hat=params,
-        objective_value=obj,
-        A_m=rates.A_m,
-        A_h=rates.A_h,
-        delta=params.delta,
-        iterations=nfev,
-        converged=converged,
-    )
+def _make_result(r: np.ndarray, obj: float, nfev: int, converged: bool, gamma: float) -> FitResult:
+    """The result at rates r, whose theta_hat is the canonical raw
+    representative alpha = 5, p_m = A_m/5, xi = max(1, A_h/5),
+    p_h = A_h/(5 xi), which lies in DEFAULT_BOUNDS for r in RATE_BOUNDS (the
+    min keeps p_h at most 1 when 5 xi rounds below A_h)."""
+    A_m, A_h, delta = r.tolist()
+    xi = max(1.0, A_h / 5.0)
+    theta = EpiParams(alpha=5.0, p_h=min(1.0, A_h / (5.0 * xi)), p_m=A_m / 5.0, xi=xi,
+                      delta=delta, gamma=gamma)
+    return FitResult(theta_hat=theta, objective_value=obj, A_m=A_m, A_h=A_h, delta=delta,
+                     iterations=nfev, converged=converged)
 
 
 def generate_synthetic_incidence(

@@ -88,8 +88,8 @@ class State:
 
 def _reduce(alpha, p_h, p_m, xi, delta, gamma, u_max) -> ModelRates:
     """The rates A_m = alpha*p_m and A_h = alpha*p_h*xi, with u_min = delta.
-    Raw values are not checked against EpiParams' ranges, so that a fit's
-    trial points with p_h or p_m above 1 reduce too."""
+    Raw values are not checked against EpiParams' ranges, so that the
+    estimation functions in theta take any raw point."""
     return ModelRates(A_m=alpha * p_m, A_h=alpha * p_h * xi, gamma=gamma, u_min=delta, u_max=u_max)
 
 

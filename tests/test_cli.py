@@ -554,6 +554,14 @@ class TestConfigHandling:
         assert code == cli.EXIT_BAD_CONFIG
         assert f"cannot read config file {tmp_path}" in err
 
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"H_bar = 0.5\xff\n")
+        code = cli.main(["classify", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_BAD_CONFIG
+        assert f"cannot read config file {path}: " in err
+
     def test_bad_set_syntax(self, capsys):
         code = cli.main(["classify", "--set", "H_bar"])
         assert code == cli.EXIT_BAD_CONFIG

@@ -10,11 +10,12 @@ from rossmac.estimation import (
     CALI_2013_ESTIMATE,
     DEFAULT_BOUNDS,
     DEFAULT_THETA0,
+    RATE_BOUNDS,
     IncidenceSeries,
     MalformedCSVError,
     PrevalenceDataset,
+    _make_result,
     _reduced_rates,
-    _reduced_rates_jacobian,
     _sensitivity_system,
     fit,
     generate_synthetic_incidence,
@@ -26,7 +27,7 @@ from rossmac.estimation import (
     simulate_h,
     write_prevalence_csv,
 )
-from rossmac.model import g_h, g_m
+from rossmac.model import _reduce, g_h, g_m
 from rossmac.ode import SimulationError
 
 THETA_TRUE = np.array([0.3365, 0.2287, 0.1532, 1.0359, 0.0333])
@@ -183,55 +184,69 @@ class TestGradient:
         assert np.all(objective_gradient(THETA_TRUE, data) == 0.0)
 
 
+def rates_of(theta):
+    """The rates r = (A_m, A_h, delta) of theta."""
+    rates = _reduced_rates(np.asarray(theta, dtype=float), 0.1)
+    return np.array([rates.A_m, rates.A_h, rates.u_max])
+
+
+def theta_of(r):
+    """A raw point whose rates are r: alpha = xi = 1, p_h = A_h, p_m = A_m."""
+    return np.array([1.0, r[1], r[0], 1.0, r[2]])
+
+
 class TestJacobian:
     def test_rank_three_with_the_identifiability_orbits_as_null_space(self):
-        # h depends on theta only through (A_m, A_h, delta), so dh/dtheta
-        # annihilates the tangents of the orbits that keep those rates fixed:
+        # dh/dr has full rank 3.  h depends on theta only through
+        # (A_m, A_h, delta), so the gradient in theta annihilates the tangents
+        # of the orbits that keep those rates fixed:
         # (c*alpha, p_h/c, p_m/c, xi, delta) and (alpha, p_h/c, p_m, c*xi, delta).
         lb = np.array([b[0] for b in DEFAULT_BOUNDS])
         ub = np.array([b[1] for b in DEFAULT_BOUNDS])
         rng = np.random.default_rng(7)
         box = [lb + rng.uniform(0.05, 0.95, size=5) * (ub - lb) for _ in range(3)]
         t = np.arange(61, dtype=float)
+        data = make_dataset()
         for theta in [THETA_TRUE, np.array(DEFAULT_THETA0), *box]:
-            _, J = _sensitivity_system(theta, 1e-3, t, 0.1)
-            alpha, p_h, p_m, xi, _ = theta
-            scale = np.max(np.abs(J))
-            for tangent in ([alpha, -p_h, -p_m, 0.0, 0.0], [0.0, -p_h, 0.0, xi, 0.0]):
-                assert np.max(np.abs(J @ np.array(tangent))) <= 1e-12 * scale
+            _, J = _sensitivity_system(_reduced_rates(theta, 0.1), 1e-3, t)
+            assert J.shape == (61, 3)
             sv = np.linalg.svd(J[1:], compute_uv=False)
             assert sv[2] >= 1e-6 * sv[0]
+            g = objective_gradient(theta, data)
+            alpha, p_h, p_m, xi, _ = theta
+            for tangent in ([alpha, -p_h, -p_m, 0.0, 0.0], [0.0, -p_h, 0.0, xi, 0.0]):
+                assert abs(g @ np.array(tangent)) <= 1e-12 * np.linalg.norm(g)
 
 
-def reference_sensitivities(theta, t):
-    """h and dh/dtheta from DOP853 at rtol=1e-12 on the 8-state system of
+def reference_sensitivities(r, t):
+    """h and dh/dr from DOP853 at rtol=1e-12 on the 8-state system of
     (m, h) and S = d(m, h)/d(A_m, A_h, delta), S' = Jz S + df/dr."""
-    rates = _reduced_rates(theta, 0.1)
-    A_m, A_h, delta, gamma = rates.A_m, rates.A_h, rates.u_max, rates.gamma
+    A_m, A_h, delta = r
+    gamma = 0.1
 
     def rhs(s, w):
         m, h, m1, m2, m3, h1, h2, h3 = w
         mm, mh = -A_m * h - delta, A_m * (1.0 - m)
         hm, hh = A_h * (1.0 - h), -A_h * m - gamma
-        return [g_m(m, h, delta, rates), g_h(m, h, rates),
+        return [A_m * h * (1.0 - m) - delta * m, A_h * m * (1.0 - h) - gamma * h,
                 mm * m1 + mh * h1 + h * (1.0 - m), mm * m2 + mh * h2, mm * m3 + mh * h3 - m,
                 hm * m1 + hh * h1, hm * m2 + hh * h2 + m * (1.0 - h), hm * m3 + hh * h3]
 
     w = solve_ivp(rhs, (0.0, t[-1]), [3e-3, 1e-3, 0, 0, 0, 0, 0, 0], method="DOP853",
                   rtol=1e-12, atol=1e-15, t_eval=t).y
-    return w[1], w[5:].T @ _reduced_rates_jacobian(theta)
+    return w[1], w[5:].T
 
 
 class TestSensitivities:
-    """dh/dtheta is the derivative of the computed h, carried through the
+    """dh/dr is the derivative of the computed h, carried through the
     accepted steps of its own solve."""
 
     @pytest.mark.parametrize("theta", [THETA_TRUE, np.array(DEFAULT_THETA0)],
                              ids=["truth", "theta0"])
     def test_matches_eight_state_reference(self, theta):
         t = np.arange(61, dtype=float)
-        h, J = _sensitivity_system(theta, 1e-3, t, 0.1)
-        h_ref, J_ref = reference_sensitivities(theta, t)
+        h, J = _sensitivity_system(_reduced_rates(theta, 0.1), 1e-3, t)
+        h_ref, J_ref = reference_sensitivities(rates_of(theta), t)
         assert np.array_equal(h, simulate_h(theta, 1e-3, t))
         np.testing.assert_allclose(h, h_ref, rtol=1e-9, atol=1e-11)
         assert np.all(np.max(np.abs(J - J_ref), axis=0) <= 1e-8 * np.max(np.abs(J_ref), axis=0))
@@ -240,12 +255,14 @@ class TestSensitivities:
                              ids=["truth", "theta0"])
     def test_matches_central_differences_of_simulate_h(self, theta):
         t = np.arange(61, dtype=float)
-        _, J = _sensitivity_system(theta, 1e-3, t, 0.1)
+        r = rates_of(theta)
+        _, J = _sensitivity_system(_reduced_rates(theta, 0.1), 1e-3, t)
         fd = np.empty_like(J)
-        for i in range(5):
-            e = np.zeros(5)
-            e[i] = 1e-6 * max(1.0, abs(theta[i]))
-            fd[:, i] = (simulate_h(theta + e, 1e-3, t) - simulate_h(theta - e, 1e-3, t)) / (2 * e[i])
+        for i in range(3):
+            e = np.zeros(3)
+            e[i] = 1e-6 * max(1.0, abs(r[i]))
+            fd[:, i] = (simulate_h(theta_of(r + e), 1e-3, t)
+                        - simulate_h(theta_of(r - e), 1e-3, t)) / (2 * e[i])
         assert np.all(np.max(np.abs(J - fd), axis=0) <= 1e-6 * np.max(np.abs(J), axis=0))
 
 
@@ -264,7 +281,7 @@ class TestFit:
     def test_all_zero_data_returns_start(self):
         data = PrevalenceDataset(days=np.arange(10), h_hat=np.zeros(10))
         result = fit(data)
-        assert result.theta_hat.alpha == DEFAULT_THETA0[0]
+        assert [result.A_m, result.A_h, result.delta] == rates_of(DEFAULT_THETA0).tolist()
         assert result.objective_value == 0.0
         assert result.converged
 
@@ -272,29 +289,6 @@ class TestFit:
         data = PrevalenceDataset(days=np.array([0]), h_hat=np.array([0.01]))
         with pytest.raises(ValueError, match="got 1"):
             fit(data)
-
-    def test_point_bounds_pin_parameters(self):
-        data = make_dataset(days=20)
-        bounds = tuple((v, v) for v in THETA_TRUE)
-        result = fit(data, bounds=bounds, theta0=tuple(THETA_TRUE))
-        assert result.theta_hat.alpha == THETA_TRUE[0]
-        assert result.objective_value < 1e-18
-
-    def test_partially_pinned_parameters(self):
-        data = make_dataset()
-        # freeze xi and p_h at their generating values; fit the rest
-        bounds = (
-            (0.0, 5.0),
-            (THETA_TRUE[1], THETA_TRUE[1]),
-            (0.0, 1.0),
-            (THETA_TRUE[3], THETA_TRUE[3]),
-            (1.0 / 30.0, 1.0 / 15.0),
-        )
-        result = fit(data, bounds=bounds,
-                     theta0=(1.0, THETA_TRUE[1], 0.5, THETA_TRUE[3], 0.035))
-        assert result.theta_hat.p_h == THETA_TRUE[1]
-        assert result.theta_hat.xi == THETA_TRUE[3]
-        assert result.objective_value < 1e-10
 
     def test_one_sensitivity_solve_per_trf_point(self, monkeypatch):
         # Residuals and Jacobian at one point share a single solve of (m, h),
@@ -306,9 +300,9 @@ class TestFit:
             solves.append(args)
             return dopri(*args)
 
-        def counting_sensitivity(theta, *args):
-            points.append(theta.tobytes())
-            return sensitivity(theta, *args)
+        def counting_sensitivity(rates, *args):
+            points.append((rates.A_m, rates.A_h, rates.u_max))
+            return sensitivity(rates, *args)
 
         data = make_dataset()
         monkeypatch.setattr(estimation, "_dopri", counting_dopri)
@@ -338,6 +332,26 @@ class TestFit:
         data = make_dataset(days=10)
         with pytest.raises(ValueError, match="theta0 must lie within the bounds"):
             fit(data, theta0=(np.nan, 0.5, 0.5, 1.0, 0.035))
+
+    def test_rate_box_is_the_image_of_the_raw_box(self):
+        corners = np.array(np.meshgrid(*DEFAULT_BOUNDS)).reshape(5, -1).T
+        rates = np.array([rates_of(c) for c in corners])
+        assert tuple(zip(rates.min(axis=0), rates.max(axis=0))) == RATE_BOUNDS
+
+    # At A_h = 5.55, 5*(A_h/5) rounds below A_h, so A_h/(5 xi) exceeds 1 by
+    # an ulp unless p_h is capped at 1.
+    @pytest.mark.parametrize("r", [(0.0516, 0.0797, 0.04), (4.9, 5.55, 0.05),
+                                   (5.0, 25.0, 1.0 / 15.0), (0.0, 5.0, 1.0 / 30.0)],
+                             ids=["A_h-below-5", "A_h-above-5", "upper-corner", "A_h-at-5"])
+    def test_theta_hat_is_a_raw_point_of_the_rates(self, r):
+        result = _make_result(np.array(r), 0.0, 0, True, 0.1)
+        theta = result.theta_hat
+        assert (result.A_m, result.A_h, result.delta) == r
+        raw = np.array([theta.alpha, theta.p_h, theta.p_m, theta.xi, theta.delta])
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(raw, DEFAULT_BOUNDS))
+        back = _reduce(*raw, 0.1, theta.delta)
+        assert np.all(np.abs(np.array([back.A_m, back.A_h, back.u_max]) - r)
+                      <= 4 * np.spacing(np.array(r)))
 
     def test_final_objective_not_worse_than_start(self):
         data = make_dataset()
