@@ -2,8 +2,8 @@
 the controlled Ross-Macdonald dengue model.
 
 Names are imported from their submodule on first access (PEP 562), so a
-caller loads only the submodules it uses; only `estimation.fit` loads
-scipy."""
+caller loads only the submodules it uses.  The package needs numpy
+alone."""
 
 import importlib
 

@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Only fit imports estimation, and estimation.fit imports scipy, which takes
-# most of a second; estimation itself still costs 6-17 ms to import, so every
-# other command loads neither.
+# Only fit imports estimation, which costs 6-17 ms to import, so every other
+# command leaves it unloaded.
 from rossmac.kernel import (
     DEFAULT_STEP,
     Regime,

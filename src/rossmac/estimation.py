@@ -16,8 +16,9 @@ theta = (alpha, p_h, p_m, xi, delta) remain only in `objective`,
 `simulate_h`.  Every trajectory is integrated by the Dormand-Prince loop of
 `rossmac.ode` at rtol=1e-10, atol=1e-12, and the sensitivities dh/dr are
 carried through that solve's own steps.  The fit makes one solve per
-trust-region point: its residuals and Jacobian both read it.  Only `fit`
-imports scipy, for its trust-region reflective solver.
+trust-region point: its residuals and Jacobian both read it.  The fit's
+trust-region reflective solver, `_trf`, is a port of scipy's for this
+bounded 3-parameter problem, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -236,18 +237,20 @@ def fit(
     prevalence data, on RATE_BOUNDS, from the rates of theta0, which must
     lie in DEFAULT_BOUNDS.
 
-    Uses a trust-region reflective solver with the sensitivity-based
-    residual Jacobian dh/dr; non-convergence is reported on the `converged`
-    flag, never raised.  Data of fewer than two days raise ValueError.
+    Uses the trust-region reflective method of Branch, Coleman and Li
+    (1999), as scipy's least_squares(method="trf") runs it (`_trf`), with
+    the sensitivity-based residual Jacobian dh/dr; non-convergence within
+    max_nfev trial points is reported on the `converged` flag, never raised.
+    Data of fewer than two days or max_nfev < 1 raise ValueError.
     """
-    from scipy.optimize import least_squares
-
     th0 = _theta_array(theta0)
     lb, ub = np.array(DEFAULT_BOUNDS).T
     if not np.all((th0 >= lb) & (th0 <= ub)):
         raise ValueError("theta0 must lie within the bounds")
     if data.days.size < 2:
         raise ValueError(f"a fit needs at least two days of data, got {data.days.size}")
+    if max_nfev < 1:
+        raise ValueError(f"max_nfev must be a positive integer, got {max_nfev!r}")
     start = _reduced_rates(th0, gamma)
     r0 = np.array([start.A_m, start.A_h, start.u_max])
     if not np.any(data.h_hat):
@@ -257,32 +260,16 @@ def fit(
 
     t = data.days.astype(float)
     h0 = float(data.h_hat[0])
-    # TRF asks for res and then jac at (nearly) every point it visits, so both
-    # read one sensitivity solve, remembered for the last x only.
-    last = {}
 
     def solve(x):
-        key = x.tobytes()
-        if key not in last:
-            last.clear()
-            A_m, A_h, delta = x.tolist()
-            rates = ModelRates(A_m, A_h, gamma, u_min=delta, u_max=delta)
-            last[key] = _sensitivity_system(rates, h0, t)
-        return last[key]
+        A_m, A_h, delta = x.tolist()
+        h, dh = _sensitivity_system(ModelRates(A_m, A_h, gamma, u_min=delta, u_max=delta), h0, t)
+        # A row-major Jacobian, as least_squares copies it, so that J^T f
+        # sums in the same order.
+        return h[1:] - data.h_hat[1:], np.ascontiguousarray(dh[1:])
 
-    sol = least_squares(
-        lambda x: solve(x)[0][1:] - data.h_hat[1:],
-        r0,
-        jac=lambda x: solve(x)[1][1:],
-        bounds=np.array(RATE_BOUNDS).T,
-        method="trf",
-        ftol=1e-10,
-        xtol=1e-10,
-        gtol=1e-12,
-        max_nfev=max_nfev,
-    )
-    return _make_result(sol.x, 0.5 * float(sol.fun @ sol.fun), int(sol.nfev),
-                        bool(sol.status > 0), gamma)
+    x, f, nfev, converged = _trf(solve, r0, max_nfev)
+    return _make_result(x, 0.5 * float(f @ f), nfev, converged, gamma)
 
 
 def _make_result(r: np.ndarray, obj: float, nfev: int, converged: bool, gamma: float) -> FitResult:
@@ -296,6 +283,231 @@ def _make_result(r: np.ndarray, obj: float, nfev: int, converged: bool, gamma: f
                       delta=delta, gamma=gamma)
     return FitResult(theta_hat=theta, objective_value=obj, A_m=A_m, A_h=A_h, delta=delta,
                      iterations=nfev, converged=converged)
+
+
+# The fit's stopping tolerances: relative cost decrease, relative step and
+# scaled gradient (least_squares' ftol, xtol and gtol).
+_FTOL, _XTOL, _GTOL = 1e-10, 1e-10, 1e-12
+
+
+def _trf(solve, x, max_nfev: int):
+    """Minimize 1/2 |f(x)|^2 over x in RATE_BOUNDS from x, where solve(x)
+    gives the residuals f and their Jacobian J from one evaluation.  Returns
+    the last accepted point, its residuals, the number of points solved and
+    whether a tolerance was met before max_nfev points.
+
+    Trust-region reflective (Branch, Coleman and Li 1999), ported from
+    scipy's `trf_bounds` for a dense Jacobian, tr_solver="exact",
+    x_scale=1 and linear loss, so it takes scipy's trial points.  Each
+    iteration scales the variables by the Coleman-Li vector v (the distance
+    to the bound the gradient points away from), solves the trust-region
+    subproblem exactly from one SVD of the augmented scaled Jacobian, and
+    picks the best of the step cut back before the bound, its reflection
+    off that bound and the anti-gradient step (`_select_step`)."""
+    lb, ub = np.array(RATE_BOUNDS).T
+    x = _interior(x, lb, ub, 1e-10)
+    f, J = solve(x)
+    nfev = 1
+    m = f.size
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    v, _ = _coleman_li(x, g, lb, ub)
+    Delta = np.linalg.norm(x / v**0.5) or 1.0
+    alpha = 0.0  # the Levenberg-Marquardt parameter of the last subproblem
+    converged = False
+    while True:
+        v, dv = _coleman_li(x, g, lb, ub)
+        g_norm = np.linalg.norm(g * v, ord=np.inf)
+        if g_norm < _GTOL:
+            converged = True
+        if converged or nfev == max_nfev:
+            break
+        # A step p_h in the scaled ("hat") variables is d*p_h in x; their
+        # quadratic model has the extra curvature diag_h.
+        d = v**0.5
+        diag_h = g * dv
+        g_h = d * g
+        J_aug = np.vstack((J * d, np.diag(diag_h**0.5)))
+        J_h = J_aug[:m]
+        U, s, Vt = np.linalg.svd(J_aug, full_matrices=False)
+        # U^T and V laid out row-major, as from LAPACK's column-major U and
+        # V^T, so that their products sum in the same order as scipy's.
+        uf = np.ascontiguousarray(U.T).dot(np.concatenate((f, np.zeros(3))))
+        V = np.ascontiguousarray(Vt.T)
+        theta = max(0.995, 1 - g_norm)  # how far towards a bound a step goes
+        reduction = -1
+        while reduction <= 0 and nfev < max_nfev:
+            p_h, alpha = _trust_region_step(m, uf, s, V, Delta, alpha)
+            step, step_h, predicted = _select_step(x, J_h, diag_h, g_h, d * p_h, p_h, d,
+                                                   Delta, lb, ub, theta)
+            x_new = _interior(x + step, lb, ub, 0.0)
+            f_new, J_new = solve(x_new)
+            nfev += 1
+            step_h_norm = np.linalg.norm(step_h)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            if predicted > 0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1.0 if predicted == reduction == 0 else 0.0
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * Delta:
+                Delta_new = 2.0 * Delta
+            if ((reduction < _FTOL * cost and ratio > 0.25)
+                    or np.linalg.norm(step) < _XTOL * (_XTOL + np.linalg.norm(x))):
+                converged = True
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if reduction > 0:
+            x, f, J, cost = x_new, f_new, J_new, cost_new
+            g = J.T.dot(f)
+    return x, f, nfev, converged
+
+
+def _interior(x, lb, ub, rstep: float) -> np.ndarray:
+    """x with each coordinate within rstep*max(1, |bound|) of a bound moved
+    to that distance inside it, or to the next float inside when rstep is
+    0 (scipy's make_strictly_feasible, for a box wider than 2*rstep)."""
+    lo_gap = rstep * np.maximum(1.0, np.abs(lb))
+    hi_gap = rstep * np.maximum(1.0, np.abs(ub))
+    lower = x - lb <= np.minimum(ub - x, lo_gap)
+    upper = ub - x <= np.minimum(x - lb, hi_gap)
+    if rstep == 0:
+        inner_lb, inner_ub = np.nextafter(lb, ub), np.nextafter(ub, lb)
+    else:
+        inner_lb, inner_ub = lb + lo_gap, ub - hi_gap
+    return np.where(upper, inner_ub, np.where(lower, inner_lb, x))
+
+
+def _coleman_li(x, g, lb, ub):
+    """The Coleman-Li scaling vector v, the distance to the bound that -g
+    points at (1 where g is 0), and its derivative dv in x."""
+    return np.where(g < 0, ub - x, np.where(g > 0, x - lb, 1.0)), np.sign(g)
+
+
+def _trust_region_step(m: int, uf, s, V, Delta, alpha):
+    """Moré's (1977) solution p of min |J p + f| over |p| <= Delta, from the
+    SVD J = U diag(s) V^T of the m + 3 by 3 matrix J (uf = U^T f), and its
+    Levenberg-Marquardt parameter, found by at most 10 Newton steps from
+    alpha to |p| within 1% of Delta (scipy's solve_lsq_trust_region)."""
+    suf = s * uf
+
+    def phi(alpha):
+        denom = s**2 + alpha
+        p_norm = np.linalg.norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    full_rank = m >= 3 and s[-1] > np.finfo(float).eps * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if np.linalg.norm(p) <= Delta:
+            return p, 0.0
+    alpha_upper = np.linalg.norm(suf) / Delta
+    alpha_lower = 0.0
+    if full_rank:
+        value, slope = phi(0.0)
+        alpha_lower = -value / slope
+    elif alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        value, slope = phi(alpha)
+        if value < 0:
+            alpha_upper = alpha
+        ratio = value / slope
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (value + Delta) * ratio / Delta
+        if np.abs(value) < 0.01 * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    return p * (Delta / np.linalg.norm(p)), alpha
+
+
+def _to_bound(x, s, lb, ub):
+    """The least t >= 0 at which x + t*s reaches a bound, and the mask of
+    the coordinates that reach one there."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        steps = np.where(s != 0, np.maximum((lb - x) / s, (ub - x) / s), np.inf)
+    t = np.min(steps)
+    return t, (steps == t) & (s != 0)
+
+
+def _model(J, g, diag, s, s0=None):
+    """The model 1/2 s'(J'J + diag)s + g's along s0 + t*s as the
+    coefficients (a, b, c) of a t^2 + b t + c; without s0, (a, b)."""
+    v = J.dot(s)
+    a = 0.5 * (np.dot(v, v) + np.dot(s * diag, s))
+    b = np.dot(g, s)
+    if s0 is None:
+        return a, b
+    u = J.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    b += np.dot(s0 * diag, s)
+    c += 0.5 * np.dot(s0 * diag, s0)
+    return a, b, c
+
+
+def _least_on(a, b, lo, hi, c=0.0):
+    """The t in [lo, hi] of least a t^2 + b t + c, and that value."""
+    t = [lo, hi]
+    if a != 0 and lo < -0.5 * b / a < hi:
+        t.append(-0.5 * b / a)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    i = np.argmin(y)
+    return t[i], y[i]
+
+
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
+    """The reflective step choice: the trust-region step p if it stays in
+    the box, else the least-model one of p cut back to theta of the way to
+    the bound it crosses, its reflection off that bound and the
+    anti-gradient step.  Returns the step, in x and scaled, and the
+    decrease of the model it predicts."""
+    if np.all((x + p >= lb) & (x + p <= ub)):
+        a, b = _model(J_h, g_h, diag_h, p_h)
+        return p, p_h, -(a + b)
+    p_stride, hits = _to_bound(x, p, lb, ub)
+    r_h = np.where(hits, -p_h, p_h)
+    r = d * r_h
+    p, p_h = p * p_stride, p_h * p_stride
+    # The reflection runs until it leaves either the box or the trust region.
+    a, b, c = np.dot(r_h, r_h), np.dot(p_h, r_h), np.dot(p_h, p_h) - Delta**2
+    q = -(b + math.copysign(np.sqrt(b * b - a * c), b))
+    to_tr = max(q / a, c / q)
+    to_bound, _ = _to_bound(x + p, r, lb, ub)
+    r_stride = min(to_bound, to_tr)
+    r_value = np.inf
+    if r_stride > 0:
+        r_lo = (1 - theta) * p_stride / r_stride
+        r_hi = theta * to_bound if r_stride == to_bound else to_tr
+        if r_lo <= r_hi:
+            a, b, c = _model(J_h, g_h, diag_h, r_h, p_h)
+            r_stride, r_value = _least_on(a, b, r_lo, r_hi, c)
+            r_h = r_h * r_stride + p_h
+            r = r_h * d
+    p, p_h = p * theta, p_h * theta
+    a, b = _model(J_h, g_h, diag_h, p_h)
+    p_value = a + b
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = Delta / np.linalg.norm(ag_h)
+    to_bound, _ = _to_bound(x, ag, lb, ub)
+    a, b = _model(J_h, g_h, diag_h, ag_h)
+    ag_stride, ag_value = _least_on(a, b, 0, theta * to_bound if to_bound < to_tr else to_tr)
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return ag * ag_stride, ag_h * ag_stride, -ag_value
 
 
 def generate_synthetic_incidence(
@@ -328,9 +540,11 @@ def generate_synthetic_incidence(
     )
 
 
-# Transmission parameters estimated from the 2013 Cali dengue outbreak.
+# Transmission parameters estimated from the 2013 Cali dengue outbreak.  The
+# paper's delta = 0.0333 is 1/30 rounded below the fit's lower bound, so the
+# estimate takes the bound itself and lies in DEFAULT_BOUNDS.
 CALI_2013_ESTIMATE = EpiParams(
-    alpha=0.3365, p_h=0.2287, p_m=0.1532, xi=1.0359, delta=0.0333, gamma=DEFAULT_GAMMA
+    alpha=0.3365, p_h=0.2287, p_m=0.1532, xi=1.0359, delta=1.0 / 30.0, gamma=DEFAULT_GAMMA
 )
 
 

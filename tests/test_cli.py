@@ -430,6 +430,22 @@ class TestFit:
         assert rows[0] == "day,h_hat,h_model"
         assert len(rows) == 62  # day 0..60 plus header
 
+    def test_fit_runs_with_scipy_unimportable(self, tmp_path, incidence_csv):
+        # A fresh process in which any import of scipy raises ImportError.
+        argv = ["fit", "--out", str(tmp_path), f"--set=incidence={incidence_csv}",
+                "--set=population=2400000"]
+        script = ("import sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from rossmac.cli import main\n"
+                  f"sys.exit(main({argv!r}))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "converged=true" in proc.stdout.splitlines()
+        assert "converged=true" in (tmp_path / "fit_report.txt").read_text().splitlines()
+
     @pytest.mark.parametrize("key, value", [
         ("fit_days", "0"), ("fit_days", "-3"), ("fit_days", "2.5"),
         ("population", "0"), ("population", "-5"), ("gamma", "0"),

@@ -4,6 +4,7 @@ constrained fit."""
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import least_squares
 
 from rossmac import estimation
 from rossmac.estimation import (
@@ -27,7 +28,7 @@ from rossmac.estimation import (
     simulate_h,
     write_prevalence_csv,
 )
-from rossmac.model import _reduce, g_h, g_m
+from rossmac.model import ModelRates, _reduce, g_h, g_m
 from rossmac.ode import SimulationError
 
 THETA_TRUE = np.array([0.3365, 0.2287, 0.1532, 1.0359, 0.0333])
@@ -353,11 +354,65 @@ class TestFit:
         assert np.all(np.abs(np.array([back.A_m, back.A_h, back.u_max]) - r)
                       <= 4 * np.spacing(np.array(r)))
 
+    def test_stops_at_max_nfev_unconverged(self):
+        result = fit(make_dataset(), max_nfev=2)
+        assert not result.converged
+        assert result.iterations == 2
+
+    @pytest.mark.parametrize("max_nfev", [0, -1])
+    def test_rejects_max_nfev_below_one(self, max_nfev):
+        with pytest.raises(ValueError, match="max_nfev"):
+            fit(make_dataset(days=10), max_nfev=max_nfev)
+
     def test_final_objective_not_worse_than_start(self):
         data = make_dataset()
         start = objective(DEFAULT_THETA0, data)
         result = fit(data)
         assert result.objective_value <= start + 1e-15
+
+
+def seeded_outbreaks(n=12, seed=2013):
+    """Prevalence of n outbreaks whose raw parameters are drawn uniformly
+    within +-15% of the Cali estimate, clipped to DEFAULT_BOUNDS."""
+    rng = np.random.default_rng(seed)
+    lb, ub = np.array(DEFAULT_BOUNDS).T
+    cali = estimation._theta_array(CALI_2013_ESTIMATE)
+    lo, hi = np.maximum(lb, 0.85 * cali), np.minimum(ub, 1.15 * cali)
+    return [incidence_to_prevalence(generate_synthetic_incidence(rng.uniform(lo, hi)))
+            for _ in range(n)]
+
+
+def scipy_trf(data, theta0=DEFAULT_THETA0):
+    """scipy's least_squares(method="trf") on fit's residuals and dh/dr, from
+    the same start, in the same box and at the same tolerances."""
+    t = data.days.astype(float)
+
+    def solve(x):
+        rates = ModelRates(x[0], x[1], 0.1, u_min=x[2], u_max=x[2])
+        h, dh = _sensitivity_system(rates, float(data.h_hat[0]), t)
+        return h[1:] - data.h_hat[1:], dh[1:]
+
+    return least_squares(lambda x: solve(x)[0], rates_of(theta0), jac=lambda x: solve(x)[1],
+                         bounds=np.array(RATE_BOUNDS).T, method="trf", ftol=1e-10,
+                         xtol=1e-10, gtol=1e-12, max_nfev=400)
+
+
+class TestTrfAgainstScipy:
+    """The in-house trust-region reflective solver against scipy's, on
+    seeded outbreaks and on the synthetic Cali outbreak, whose delta is the
+    bound 1/30."""
+
+    def test_same_rates_in_no_more_evaluations(self):
+        outbreaks = [*seeded_outbreaks(), incidence_to_prevalence(generate_synthetic_incidence())]
+        ours = theirs = 0
+        for data in outbreaks:
+            result, ref = fit(data), scipy_trf(data)
+            assert result.converged and ref.success
+            r = np.array([result.A_m, result.A_h, result.delta])
+            assert np.all(np.abs(r - ref.x) <= 1e-8 * np.abs(ref.x))
+            ours += result.iterations
+            theirs += ref.nfev
+        assert ours <= theirs
 
 
 class TestSyntheticIncidence:
@@ -368,6 +423,17 @@ class TestSyntheticIncidence:
         h = simulate_h(CALI_2013_ESTIMATE, float(data.h_hat[0]), t)
         # counts are integers, so prevalence matches to ~1 case / population
         assert np.max(np.abs(h - data.h_hat)) < 5.0 / series.population
+
+    def test_cali_estimate_lies_in_the_fit_box(self):
+        raw = estimation._theta_array(CALI_2013_ESTIMATE)
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(raw, DEFAULT_BOUNDS))
+
+    def test_fit_from_the_cali_estimate_converges(self):
+        data = incidence_to_prevalence(generate_synthetic_incidence())
+        result = fit(data, theta0=CALI_2013_ESTIMATE)
+        assert result.converged
+        assert result.A_m == pytest.approx(0.3365 * 0.1532, rel=0.05)
+        assert result.A_h == pytest.approx(0.3365 * 0.2287 * 1.0359, rel=0.05)
 
     def test_fit_on_rounded_counts(self):
         series = generate_synthetic_incidence()

@@ -291,7 +291,7 @@ def test_piecewise_run_equals_its_chained_constant_pieces():
 def test_open_loop_simulate_loads_no_scipy(tmp_path):
     """Constant and piecewise runs, a kernel build and everything in
     `estimation` but fit from the library, and a constant run from the CLI,
-    in a fresh process, never import scipy; fit then does."""
+    in a fresh process, never import scipy, and neither does fit."""
     rates = "A_m=0.02906, A_h=0.31066, gamma=0.1, u_min=0.01, u_max=0.03733"
     argv = ["simulate", "--out", str(tmp_path), "--set=policy=constant", "--set=m0=0.2",
             "--set=h0=0.1", "--set=horizon=20", "--set=H_bar=0.5",
@@ -319,7 +319,7 @@ def test_open_loop_simulate_loads_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False]
     assert (tmp_path / "trajectory.csv").exists()
 
 
