@@ -11,8 +11,10 @@ be read, named with its path, a key that `COMMANDS` does not list for the
 command, named with its `file:line` or `--set`, and every ValueError that
 reaches `main`, raised here or by the library on a bad input), 3 boundary
 requested outside the medium regime, 4 feedback policy outside the medium
-regime, 5 malformed incidence CSV, one of fewer than two days or one whose
-prevalence exceeds population, 1 any other runtime failure.
+regime, 5 malformed incidence CSV, one of fewer than two days, one whose
+prevalence exceeds population, one whose first day has no cases or one whose
+first-day prevalence exceeds 1/3 (the model starts at m(0) = 3*h(0)), 1 any
+other runtime failure.
 """
 
 from __future__ import annotations

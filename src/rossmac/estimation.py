@@ -10,15 +10,16 @@ the dynamics, so only they are identifiable, and the fit minimizes
     1/2 * sum_{j=1..D} (h(t_j; r) - h_hat_j)^2
 
 over r inside RATE_BOUNDS, the image of the raw box DEFAULT_BOUNDS, with
-the mosquito state initialized as m(0) = 3*h_hat_0.  The raw parameters
-theta = (alpha, p_h, p_m, xi, delta) remain only in `objective`,
-`objective_gradient` (which applies the chain rule through r) and
-`simulate_h`.  Every trajectory is integrated by the Dormand-Prince loop of
-`rossmac.ode` at rtol=1e-10, atol=1e-12, and the sensitivities dh/dr are
-carried through that solve's own steps.  The fit makes one solve per
-trust-region point: its residuals and Jacobian both read it.  The fit's
-trust-region reflective solver, `_trf`, is a port of scipy's for this
-bounded 3-parameter problem, so the module needs numpy alone.
+the mosquito state initialized as m(0) = 3*h_hat_0, which must lie in
+[0, 1].  The raw parameters theta = (alpha, p_h, p_m, xi, delta) remain
+only in `objective`, `objective_gradient` (which applies the chain rule
+through r) and `simulate_h`.  Every trajectory is integrated by the
+Dormand-Prince loop of `rossmac.ode` at rtol=1e-10, atol=1e-12, and the
+sensitivities dh/dr are carried through that solve's own steps.  The fit
+makes one solve per trust-region point: its residuals and Jacobian both
+read it.  The fit's trust-region reflective solver, `_trf`, is a port of
+scipy's for this bounded 3-parameter problem, so the module needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -143,26 +144,25 @@ def _reduced_rates(theta: np.ndarray, gamma: float) -> ModelRates:
 
 def _steps(rates: ModelRates, h0: float, t_end: float) -> np.ndarray:
     """The accepted steps of (m, h) from m(0) = 3*h0, h(0) = h0 to t_end
-    (to 1 if t_end is 0), as rows of `ode._dense`."""
+    (to 1 if t_end is 0), as rows of `ode._dense`.  A start outside the
+    unit square, h0 outside [0, 1/3], raises ValueError."""
+    m0 = MOSQUITO_INIT_FACTOR * h0
+    if not 0.0 <= m0 <= 1.0:
+        raise ValueError(f"h0 = {h0!r} starts the mosquitoes at m(0) = 3*h0 = {m0!r}, "
+                         "outside [0, 1]")
+
     def rhs(t, m, h):
         return g_m(m, h, rates.u_max, rates), g_h(m, h, rates)
 
     steps: list[tuple] = []
-    _dopri(rhs, 0.0, (MOSQUITO_INIT_FACTOR * h0, h0), t_end if t_end > 0 else 1.0,
-           1e-10, 1e-12, None, steps)
+    _dopri(rhs, 0.0, (m0, h0), t_end if t_end > 0 else 1.0, 1e-10, 1e-12, None, steps)
     return np.array(steps)
 
 
 def simulate_h(theta, h0: float, t_eval: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Human prevalence h(t_j; theta) with m(0) = 3*h0."""
+    """Human prevalence h(t_j; theta) with m(0) = 3*h0, for h0 in [0, 1/3]."""
     rates = _reduced_rates(_theta_array(theta), gamma)
     return _dense(_steps(rates, h0, float(t_eval[-1])), t_eval)[1]
-
-
-def _residuals(theta: np.ndarray, data: PrevalenceDataset, gamma: float) -> np.ndarray:
-    t = data.days.astype(float)
-    h = simulate_h(theta, float(data.h_hat[0]), t, gamma=gamma)
-    return h[1:] - data.h_hat[1:]
 
 
 def objective(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> float:
@@ -170,9 +170,10 @@ def objective(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> f
     if data.days.size < 2:
         return 0.0
     try:
-        r = _residuals(_theta_array(theta), data, gamma)
+        h = simulate_h(theta, float(data.h_hat[0]), data.days.astype(float), gamma=gamma)
     except RuntimeError:
         return math.inf
+    r = h[1:] - data.h_hat[1:]
     return 0.5 * float(r @ r)
 
 
@@ -212,6 +213,13 @@ def _sensitivity_system(rates: ModelRates, h0: float, t_eval: np.ndarray):
     return _dense(steps, t_eval)[1], _dense(S_rows, t_eval)[3:].T
 
 
+def _misfit(rates: ModelRates, data: PrevalenceDataset):
+    """The residuals h(t_j) - h_hat_j over days 1..D and their Jacobian
+    dh/dr, from one solve."""
+    h, dh = _sensitivity_system(rates, float(data.h_hat[0]), data.days.astype(float))
+    return h[1:] - data.h_hat[1:], dh[1:]
+
+
 def objective_gradient(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Exact gradient of `objective` in theta: the gradient in r, from the
     forward sensitivities, by the chain rule through A_m = alpha*p_m and
@@ -219,9 +227,8 @@ def objective_gradient(theta, data: PrevalenceDataset, gamma: float = DEFAULT_GA
     th = _theta_array(theta)
     if data.days.size < 2:
         return np.zeros(5)
-    h, J = _sensitivity_system(_reduced_rates(th, gamma), float(data.h_hat[0]),
-                               data.days.astype(float))
-    gA_m, gA_h, g_delta = J[1:].T @ (h[1:] - data.h_hat[1:])
+    f, J = _misfit(_reduced_rates(th, gamma), data)
+    gA_m, gA_h, g_delta = J.T @ f
     alpha, p_h, p_m, xi, _ = th
     return np.array([gA_m * p_m + gA_h * p_h * xi, gA_h * alpha * xi, gA_m * alpha,
                      gA_h * alpha * p_h, g_delta])
@@ -231,7 +238,6 @@ def fit(
     data: PrevalenceDataset,
     theta0=DEFAULT_THETA0,
     gamma: float = DEFAULT_GAMMA,
-    max_nfev: int = 400,
 ) -> FitResult:
     """Box-constrained least-squares fit of r = (A_m, A_h, delta) to
     prevalence data, on RATE_BOUNDS, from the rates of theta0, which must
@@ -240,8 +246,12 @@ def fit(
     Uses the trust-region reflective method of Branch, Coleman and Li
     (1999), as scipy's least_squares(method="trf") runs it (`_trf`), with
     the sensitivity-based residual Jacobian dh/dr; non-convergence within
-    max_nfev trial points is reported on the `converged` flag, never raised.
-    Data of fewer than two days or max_nfev < 1 raise ValueError.
+    _MAX_NFEV = 400 trial points is reported on the `converged` flag, never
+    raised.  The model starts at m(0) = 3*h_hat_0, h(0) = h_hat_0, so the
+    series must start on a day with cases (at (0, 0), the disease-free
+    equilibrium, no rates move h) and h_hat_0 must be at most 1/3 (m(0)
+    at most 1).  Data of fewer than two days, or breaking either rule,
+    raise ValueError.
     """
     th0 = _theta_array(theta0)
     lb, ub = np.array(DEFAULT_BOUNDS).T
@@ -249,26 +259,19 @@ def fit(
         raise ValueError("theta0 must lie within the bounds")
     if data.days.size < 2:
         raise ValueError(f"a fit needs at least two days of data, got {data.days.size}")
-    if max_nfev < 1:
-        raise ValueError(f"max_nfev must be a positive integer, got {max_nfev!r}")
+    if data.h_hat[0] == 0:
+        raise ValueError("the first day has no cases, so the model starts at the disease-free "
+                         "equilibrium, which no rates leave: start the series on a day with cases")
     start = _reduced_rates(th0, gamma)
-    r0 = np.array([start.A_m, start.A_h, start.u_max])
-    if not np.any(data.h_hat):
-        # An all-zero series starts at the disease-free equilibrium, where
-        # h stays 0 under any rates: nothing to optimize.
-        return _make_result(r0, 0.0, 0, True, gamma)
-
-    t = data.days.astype(float)
-    h0 = float(data.h_hat[0])
 
     def solve(x):
         A_m, A_h, delta = x.tolist()
-        h, dh = _sensitivity_system(ModelRates(A_m, A_h, gamma, u_min=delta, u_max=delta), h0, t)
+        f, J = _misfit(ModelRates(A_m, A_h, gamma, u_min=delta, u_max=delta), data)
         # A row-major Jacobian, as least_squares copies it, so that J^T f
         # sums in the same order.
-        return h[1:] - data.h_hat[1:], np.ascontiguousarray(dh[1:])
+        return f, np.ascontiguousarray(J)
 
-    x, f, nfev, converged = _trf(solve, r0, max_nfev)
+    x, f, nfev, converged = _trf(solve, np.array([start.A_m, start.A_h, start.u_max]))
     return _make_result(x, 0.5 * float(f @ f), nfev, converged, gamma)
 
 
@@ -286,15 +289,17 @@ def _make_result(r: np.ndarray, obj: float, nfev: int, converged: bool, gamma: f
 
 
 # The fit's stopping tolerances: relative cost decrease, relative step and
-# scaled gradient (least_squares' ftol, xtol and gtol).
+# scaled gradient (least_squares' ftol, xtol and gtol), and its budget of
+# trial points.
 _FTOL, _XTOL, _GTOL = 1e-10, 1e-10, 1e-12
+_MAX_NFEV = 400
 
 
-def _trf(solve, x, max_nfev: int):
+def _trf(solve, x):
     """Minimize 1/2 |f(x)|^2 over x in RATE_BOUNDS from x, where solve(x)
     gives the residuals f and their Jacobian J from one evaluation.  Returns
     the last accepted point, its residuals, the number of points solved and
-    whether a tolerance was met before max_nfev points.
+    whether a tolerance was met before _MAX_NFEV points.
 
     Trust-region reflective (Branch, Coleman and Li 1999), ported from
     scipy's `trf_bounds` for a dense Jacobian, tr_solver="exact",
@@ -311,21 +316,21 @@ def _trf(solve, x, max_nfev: int):
     m = f.size
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
-    v, _ = _coleman_li(x, g, lb, ub)
+    v = _coleman_li(x, g, lb, ub)
     Delta = np.linalg.norm(x / v**0.5) or 1.0
     alpha = 0.0  # the Levenberg-Marquardt parameter of the last subproblem
     converged = False
     while True:
-        v, dv = _coleman_li(x, g, lb, ub)
+        v = _coleman_li(x, g, lb, ub)
         g_norm = np.linalg.norm(g * v, ord=np.inf)
         if g_norm < _GTOL:
             converged = True
-        if converged or nfev == max_nfev:
+        if converged or nfev == _MAX_NFEV:
             break
         # A step p_h in the scaled ("hat") variables is d*p_h in x; their
-        # quadratic model has the extra curvature diag_h.
+        # quadratic model has the extra curvature diag_h = g * dv/dx = |g|.
         d = v**0.5
-        diag_h = g * dv
+        diag_h = np.abs(g)
         g_h = d * g
         J_aug = np.vstack((J * d, np.diag(diag_h**0.5)))
         J_h = J_aug[:m]
@@ -336,7 +341,7 @@ def _trf(solve, x, max_nfev: int):
         V = np.ascontiguousarray(Vt.T)
         theta = max(0.995, 1 - g_norm)  # how far towards a bound a step goes
         reduction = -1
-        while reduction <= 0 and nfev < max_nfev:
+        while reduction <= 0 and nfev < _MAX_NFEV:
             p_h, alpha = _trust_region_step(m, uf, s, V, Delta, alpha)
             step, step_h, predicted = _select_step(x, J_h, diag_h, g_h, d * p_h, p_h, d,
                                                    Delta, lb, ub, theta)
@@ -344,9 +349,6 @@ def _trf(solve, x, max_nfev: int):
             f_new, J_new = solve(x_new)
             nfev += 1
             step_h_norm = np.linalg.norm(step_h)
-            if not np.all(np.isfinite(f_new)):
-                Delta = 0.25 * step_h_norm
-                continue
             cost_new = 0.5 * np.dot(f_new, f_new)
             reduction = cost - cost_new
             if predicted > 0:
@@ -387,8 +389,8 @@ def _interior(x, lb, ub, rstep: float) -> np.ndarray:
 
 def _coleman_li(x, g, lb, ub):
     """The Coleman-Li scaling vector v, the distance to the bound that -g
-    points at (1 where g is 0), and its derivative dv in x."""
-    return np.where(g < 0, ub - x, np.where(g > 0, x - lb, 1.0)), np.sign(g)
+    points at (1 where g is 0); its derivative in x is sign(g)."""
+    return np.where(g < 0, ub - x, np.where(g > 0, x - lb, 1.0))
 
 
 def _trust_region_step(m: int, uf, s, V, Delta, alpha):

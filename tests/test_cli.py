@@ -482,6 +482,28 @@ class TestFit:
         assert str(crowded) in err and "population=1000" in err and "day 2" in err
         assert "converged" not in out
 
+    def test_first_day_without_cases_exits_5_naming_it(self, tmp_path, capsys, incidence_csv):
+        # The synthetic outbreak with day 0 emptied: the fit would start at
+        # the disease-free equilibrium and return its start rates.
+        rows = incidence_csv.read_text().splitlines()
+        late = tmp_path / "late.csv"
+        late.write_text("\n".join([rows[0], "0,0", *rows[2:]]) + "\n")
+        code, out, err = run("fit", tmp_path, {"incidence": str(late), "population": "2400000"},
+                             capsys)
+        assert code == cli.EXIT_BAD_CSV
+        assert str(late) in err and "day with cases" in err
+        assert "converged" not in out
+
+    def test_first_prevalence_above_a_third_exits_5_naming_it(self, tmp_path, capsys):
+        # 400 cases in 1000 would start the mosquitoes at m(0) = 1.2.
+        crowded = tmp_path / "crowded.csv"
+        crowded.write_text("day,new_cases\n0,400\n1,30\n2,30\n3,30\n")
+        code, out, err = run("fit", tmp_path, {"incidence": str(crowded), "population": "1000"},
+                             capsys)
+        assert code == cli.EXIT_BAD_CSV
+        assert str(crowded) in err and "h0 = 0.4" in err
+        assert "converged" not in out
+
     def test_malformed_csv_exits_5(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("day,new_cases\n0,5\n1,oops\n")

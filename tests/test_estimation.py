@@ -117,6 +117,23 @@ class TestSimulate:
                         t_eval=t).y[1]
         np.testing.assert_allclose(simulate_h(theta, 1e-3, t), ref, rtol=1e-9, atol=1e-11)
 
+    # m(0) = 3*h0 must lie in [0, 1], so every call that integrates from a
+    # prevalence start refuses h0 above 1/3.
+    @pytest.mark.parametrize("h0", [0.34, 0.5])
+    def test_refuses_a_start_above_a_third(self, h0):
+        data = PrevalenceDataset(days=np.arange(3), h_hat=np.array([h0, 0.3, 0.3]))
+        calls = [lambda: simulate_h(DEFAULT_THETA0, h0, data.days.astype(float)),
+                 lambda: objective(DEFAULT_THETA0, data),
+                 lambda: objective_gradient(DEFAULT_THETA0, data),
+                 lambda: generate_synthetic_incidence(h0=h0, days=2)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"h0 = {h0!r}"):
+                call()
+
+    def test_a_start_of_exactly_a_third_runs_from_m_1(self):
+        h = simulate_h(DEFAULT_THETA0, 1.0 / 3.0, np.arange(3, dtype=float))
+        assert h[0] == 1.0 / 3.0 and np.all((h >= 0.0) & (h <= 1.0))
+
 
 class TestObjective:
     def test_zero_at_generating_parameters(self):
@@ -279,12 +296,20 @@ class TestFit:
         assert result.delta == pytest.approx(THETA_TRUE[4], rel=0.02)
         assert result.objective_value < 1e-10
 
-    def test_all_zero_data_returns_start(self):
-        data = PrevalenceDataset(days=np.arange(10), h_hat=np.zeros(10))
-        result = fit(data)
-        assert [result.A_m, result.A_h, result.delta] == rates_of(DEFAULT_THETA0).tolist()
-        assert result.objective_value == 0.0
-        assert result.converged
+    # From (m, h) = (0, 0), the disease-free equilibrium, no rates move h, so
+    # a first day without cases would "fit" as the start rates.
+    @pytest.mark.parametrize("h_hat", [np.zeros(10), np.r_[0.0, np.full(9, 0.01)]],
+                             ids=["all-zero", "first-day-zero"])
+    def test_first_day_without_cases_is_refused(self, h_hat):
+        data = PrevalenceDataset(days=np.arange(10), h_hat=h_hat)
+        with pytest.raises(ValueError, match="start the series on a day with cases"):
+            fit(data)
+
+    def test_first_prevalence_above_a_third_is_refused(self):
+        # h_hat_0 = 0.4 would start the mosquitoes at m(0) = 1.2.
+        data = PrevalenceDataset(days=np.arange(4), h_hat=np.array([0.4, 0.39, 0.381, 0.3729]))
+        with pytest.raises(ValueError, match="h0 = 0.4"):
+            fit(data)
 
     def test_rejects_fewer_than_two_days(self):
         data = PrevalenceDataset(days=np.array([0]), h_hat=np.array([0.01]))
@@ -313,7 +338,7 @@ class TestFit:
         assert len(solves) == result.iterations
         assert len(points) == len(set(points)) == result.iterations
 
-    def test_results_do_not_depend_on_earlier_fits(self):
+    def test_results_do_not_depend_on_earlier_fits(self, monkeypatch):
         # The two sets differ in h0 and window, so a solve at one theta is
         # wrong for the other; a memo kept across fits would show.
         sets = {"a": make_dataset(days=30),
@@ -321,7 +346,9 @@ class TestFit:
         fresh = {name: fit(data) for name, data in sets.items()}
         for name, other in (("a", "b"), ("b", "a"), ("a", "b")):
             # stopped after one evaluation, at theta0, where the next fit starts
-            fit(sets[other], max_nfev=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimation, "_MAX_NFEV", 1)
+                fit(sets[other])
             assert fit(sets[name]) == fresh[name]
 
     def test_rejects_start_outside_bounds(self):
@@ -354,15 +381,11 @@ class TestFit:
         assert np.all(np.abs(np.array([back.A_m, back.A_h, back.u_max]) - r)
                       <= 4 * np.spacing(np.array(r)))
 
-    def test_stops_at_max_nfev_unconverged(self):
-        result = fit(make_dataset(), max_nfev=2)
+    def test_stops_at_max_nfev_unconverged(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_MAX_NFEV", 2)
+        result = fit(make_dataset())
         assert not result.converged
         assert result.iterations == 2
-
-    @pytest.mark.parametrize("max_nfev", [0, -1])
-    def test_rejects_max_nfev_below_one(self, max_nfev):
-        with pytest.raises(ValueError, match="max_nfev"):
-            fit(make_dataset(days=10), max_nfev=max_nfev)
 
     def test_final_objective_not_worse_than_start(self):
         data = make_dataset()

@@ -311,7 +311,8 @@ def test_open_loop_simulate_loads_no_scipy(tmp_path):
         "E.objective(E.DEFAULT_THETA0, data)\n"
         "E.objective_gradient(E.DEFAULT_THETA0, data)\n"
         "before_fit = 'scipy' in sys.modules\n"
-        "E.fit(data, max_nfev=2)\n"
+        "E._MAX_NFEV = 2\n"
+        "E.fit(data)\n"
         "print(json.dumps([code, before_fit, 'scipy' in sys.modules]))\n"
     )
     src = str(Path(simulate.__code__.co_filename).resolve().parents[1])
